@@ -52,7 +52,6 @@ from .fdm import (
     midpoint_grid,
     run,
     step,
-    thomas_solve,
 )
 
 __version__ = "0.1.0"
@@ -66,5 +65,4 @@ __all__ = [
     "initial_data", "instability_range", "midpoint_grid", "mode_eigenvector",
     "ode_stability", "p_polynomial", "project", "r_general", "r_simple",
     "reaction", "run", "steady_state", "step", "theta_critical",
-    "thomas_solve",
 ]

@@ -13,6 +13,7 @@ Config files are `key = value` lines with `#` comments.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -449,7 +450,9 @@ def _parse_sweep_values(cfg: RunConfig, text: str) -> list[float]:
 
 # ---------------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     defaults = RunConfig()
     p = argparse.ArgumentParser(
         prog="membrane-rd",

@@ -19,18 +19,27 @@ The step is evaluated in increment form,
 
 algebraically identical to the matrix form above (lhs = I + T*C,
 rhs = I - (1-T)*C), with C U computed as a difference of face fluxes.  That
-makes the discrete mass telescopes exactly in floating point instead of to
-solver accuracy.  The linear solves use a banded Cholesky factorisation
-computed once per operator; `thomas_solve` provides the same solve as a
-plain tridiagonal sweep for cross-checking.
+makes the discrete mass telescope exactly in floating point instead of to
+solver accuracy.
+
+Both species are stepped as one stacked state w = [U; V] of length 2n.  Its
+2n-1 faces are the u faces, an exact 0.0 at the U/V junction, then the v
+faces, so C is block diagonal and I + T*C has a single banded Cholesky
+factor, computed once per run.  The junction face carries a zero flux, adds
+nothing to the diagonal and makes the factor's coupling entry zero, so the
+flux difference, the factor and its two substitutions do the same
+floating-point operations on every entry as separate U and V steps: the
+stacked step is bitwise equal to them.  The step loop writes into
+preallocated buffers and calls LAPACK ``pbtrs`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 from .model import ModelParams, SteadyState, conserved_mass, reaction, steady_state
 
@@ -92,9 +101,9 @@ class Field:
 
 @dataclass(frozen=True, eq=False)
 class StepOperator:
-    """Assembled tridiagonal update matrices for one species.
+    """Assembled tridiagonal operator for one species.
 
-    ``lhs``/``rhs`` use banded (3, n) storage: row 0 the super-diagonal
+    ``lhs`` = I + T*C uses banded (3, n) storage: row 0 the super-diagonal
     (shifted right), row 1 the diagonal, row 2 the sub-diagonal (shifted
     left).  ``faces`` are the n-1 face coefficients of C = dt*H (mesh
     ratios inside the segments, kappa at the membrane face), without the
@@ -103,13 +112,11 @@ class StepOperator:
 
     species: str
     lhs: np.ndarray
-    rhs: np.ndarray
     faces: np.ndarray
     mu_l: float
     mu_r: float
     kappa: float
     theta_weight: float
-    chol: np.ndarray = field(repr=False, default=None)
 
 
 def _checked_dx(params: ModelParams) -> float:
@@ -173,20 +180,20 @@ def _face_coefficients(params: ModelParams, D_l: float, D_r: float,
     return faces
 
 
-def _banded_from_faces(faces: np.ndarray, weight: float, sign: float) -> np.ndarray:
-    # I + sign*weight*C in (3, n) banded storage
+def _banded_from_faces(faces: np.ndarray, weight: float) -> np.ndarray:
+    # I + weight*C in (3, n) banded storage
     n = faces.size + 1
     ab = np.zeros((3, n))
     ab[1] = 1.0
-    ab[1, :-1] += sign * weight * faces
-    ab[1, 1:] += sign * weight * faces
-    ab[0, 1:] = -sign * weight * faces
-    ab[2, :-1] = -sign * weight * faces
+    ab[1, :-1] += weight * faces
+    ab[1, 1:] += weight * faces
+    ab[0, 1:] = -weight * faces
+    ab[2, :-1] = -weight * faces
     return ab
 
 
 def assemble(params: ModelParams, species: str) -> StepOperator:
-    """Tridiagonal theta-method operators for species 'u' or 'v'."""
+    """Tridiagonal theta-method operator for species 'u' or 'v'."""
     if species == "u":
         D_l, D_r, k = params.D_ul, params.D_ur, params.k_u
     elif species == "v":
@@ -195,114 +202,99 @@ def assemble(params: ModelParams, species: str) -> StepOperator:
         raise ValueError(f"species must be 'u' or 'v', got {species!r}")
     T = params.Theta_scheme
     faces = _face_coefficients(params, D_l, D_r, k)
-    lhs = _banded_from_faces(faces, T, +1.0)
-    rhs = _banded_from_faces(faces, 1.0 - T, -1.0)
-    # lhs is symmetric positive definite: factor once, reuse every step
-    chol = cholesky_banded(lhs[:2], lower=False)
     return StepOperator(
-        species=species, lhs=lhs, rhs=rhs, faces=faces,
+        species=species, lhs=_banded_from_faces(faces, T), faces=faces,
         mu_l=D_l * params.dt / params.dx**2,
         mu_r=D_r * params.dt / params.dx**2,
         kappa=k * params.dt / params.dx,
-        theta_weight=T, chol=chol,
+        theta_weight=T,
     )
 
 
-def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of a (3, n) banded tridiagonal with a vector."""
-    y = ab[1] * x
-    y[:-1] += ab[0, 1:] * x[1:]
-    y[1:] += ab[2, :-1] * x[:-1]
-    return y
+def _stepper(operators, params: ModelParams, mode: str,
+             linearization: SteadyState | None):
+    """The step kernel for the stacked state w = [U; V].
 
-
-def thomas_solve(lhs: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tridiagonal sweep for lhs x = b, banded (3, n) storage, no pivoting.
-
-    Valid for the strictly diagonally dominant operators assembled here;
-    the infinity-norm residual stays below 1e-10 relative to b.
+    Returns ``advance(w, w_new)``, which writes the step from w into w_new
+    and returns the rate max|w_new - w| / dt, or raises BlowUpError if
+    w_new is not finite.  It reuses the buffers made here; callers silence
+    floating-point warnings once around their loop.
     """
-    n = b.size
-    sup, diag, sub = lhs[0], lhs[1], lhs[2]
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    piv = diag[0]
-    if piv == 0.0:
-        raise ZeroDivisionError("zero pivot in tridiagonal sweep")
-    c[0] = sup[1] / piv
-    d[0] = b[0] / piv
-    for i in range(1, n - 1):
-        piv = diag[i] - sub[i - 1] * c[i - 1]
-        if piv == 0.0:
-            raise ZeroDivisionError("zero pivot in tridiagonal sweep")
-        c[i] = sup[i + 1] / piv
-        d[i] = (b[i] - sub[i - 1] * d[i - 1]) / piv
-    piv = diag[n - 1] - sub[n - 2] * c[n - 2]
-    if piv == 0.0:
-        raise ZeroDivisionError("zero pivot in tridiagonal sweep")
-    d[n - 1] = (b[n - 1] - sub[n - 2] * d[n - 2]) / piv
-    x = d
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return x
+    dt = params.dt
+    if mode == "nonlinear":
+        eps, alpha = params.eps, params.alpha
 
+        def react(U, V):
+            return reaction(U, V, eps, alpha)
+    elif mode == "linearized":
+        if linearization is None:
+            raise ValueError("linearized mode needs the steady state")
+        ss = linearization
 
-def _flux_divergence(faces: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # (C u)_i as a telescoping difference of face fluxes g = faces * diff(u)
-    g = faces * np.diff(u)
-    out = np.empty_like(u)
-    out[0] = -g[0]
-    out[-1] = g[-1]
-    out[1:-1] = g[:-1] - g[1:]
-    return out
+        def react(U, V):
+            du = U - ss.u_bar
+            dv = V - ss.v_bar
+            return ss.jac.fu * du + ss.jac.fv * dv, ss.jac.gu * du + ss.jac.gv * dv
+    elif mode == "diffusion":
+        react = None
+    else:
+        raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
 
+    op_u, op_v = operators
+    n = op_u.faces.size + 1
+    faces = np.concatenate([op_u.faces, [0.0], op_v.faces])
+    # the v block's unused corner lhs[0, 0] == 0 is the junction coupling
+    chol = cholesky_banded(np.hstack([op_u.lhs[:2], op_v.lhs[:2]]), lower=False)
+    pbtrs, = get_lapack_funcs(("pbtrs",), (chol,))
+    flux = np.empty(2 * n - 1)
+    flux_hi, flux_lo = flux[1:], flux[:-1]
+    rhs = np.empty(2 * n)
+    rhs_u, rhs_v, rhs_inner = rhs[:n], rhs[n:], rhs[1:-1]
+    work = np.empty(2 * n)
+    work_u = work[:n]
 
-def _solve(op: StepOperator, b: np.ndarray, solver: str) -> np.ndarray:
-    if solver == "banded":
-        return cho_solve_banded((op.chol, False), b, check_finite=False)
-    if solver == "thomas":
-        return thomas_solve(op.lhs, b)
-    raise ValueError(f"solver must be 'banded' or 'thomas', got {solver!r}")
+    def advance(w, w_new):
+        if react is not None:
+            f, g = react(w[:n], w[n:])
+        # rhs = -C w as a telescoping difference of the face fluxes
+        np.subtract(w[1:], w[:-1], out=flux)
+        np.multiply(faces, flux, out=flux)
+        rhs[0] = flux[0]
+        np.subtract(flux_hi, flux_lo, out=rhs_inner)
+        rhs[-1] = -flux[-1]
+        if react is not None:
+            np.add(rhs_u, np.multiply(f, dt, out=work_u), out=rhs_u)
+            np.add(rhs_v, np.multiply(g, dt, out=work_u), out=rhs_v)
+        x, info = pbtrs(chol, rhs, overwrite_b=1)
+        if info:
+            raise (LinAlgError if info > 0 else ValueError)(f"pbtrs: info = {info}")
+        np.add(w, x, out=w_new)
+        np.subtract(w_new, w, out=work)
+        rate = float(np.abs(work, out=work).max()) / dt
+        # a non-finite entry of w_new makes the rate inf or nan
+        if not math.isfinite(rate) and not np.isfinite(w_new).all():
+            raise BlowUpError("non-finite state after step")
+        return rate
+
+    return advance
 
 
 def step(state, operators, params: ModelParams, mode: str = "nonlinear", *,
-         linearization: SteadyState | None = None, solver: str = "banded"):
+         linearization: SteadyState | None = None):
     """One theta-method step; the reaction is evaluated explicitly at time n.
 
     mode 'nonlinear' uses the full reactions, 'linearized' the Jacobian at
     the equilibrium applied to deviations, 'diffusion' switches the
     reactions off.  Returns the new (U, V).
     """
-    U, V = state
-    op_u, op_v = operators
-    dt = params.dt
-    if mode == "nonlinear":
-        # blow-up is detected below; keep the overflow path silent
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, g = reaction(U, V, params.eps, params.alpha)
-    elif mode == "linearized":
-        if linearization is None:
-            raise ValueError("linearized mode needs the steady state")
-        jac = linearization.jac
-        du = U - linearization.u_bar
-        dv = V - linearization.v_bar
-        f = jac.fu * du + jac.fv * dv
-        g = jac.gu * du + jac.gv * dv
-    elif mode == "diffusion":
-        f = g = None
-    else:
-        raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
-
-    rhs_u = -_flux_divergence(op_u.faces, U)
-    rhs_v = -_flux_divergence(op_v.faces, V)
-    if f is not None:
-        rhs_u += dt * f
-        rhs_v += dt * g
-    U_new = U + _solve(op_u, rhs_u, solver)
-    V_new = V + _solve(op_v, rhs_v, solver)
-    if not (np.all(np.isfinite(U_new)) and np.all(np.isfinite(V_new))):
-        raise BlowUpError("non-finite state after step")
-    return U_new, V_new
+    advance = _stepper(operators, params, mode, linearization)
+    w = np.concatenate(state, dtype=float)
+    w_new = np.empty_like(w)
+    # blow-up is detected by the kernel; keep the overflow path silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        advance(w, w_new)
+    n = w.size // 2
+    return w_new[:n], w_new[n:]
 
 
 @dataclass(eq=False)
@@ -333,7 +325,7 @@ def _snapshot_times(T: float) -> list[float]:
 
 def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,
         steady_tol: float = 1e-8, steady_stop: bool = True,
-        solver: str = "banded", linearization: SteadyState | None = None) -> SimResult:
+        linearization: SteadyState | None = None) -> SimResult:
     """Integrate to time T, or stop earlier once max|dU, dV|/dt < steady_tol.
 
     ``initial`` is the (u0, v0) pair on the grid of ``params``.  Snapshots
@@ -353,38 +345,42 @@ def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,
         M = conserved_mass(U, V, grid)
         linearization = steady_state(M, params.eps, params.alpha)
 
+    advance = _stepper(operators, params, mode, linearization)
+
     dt = params.dt
     n_steps = int(np.ceil(T / dt - 1e-9))
     targets = _snapshot_times(T)
     mass0 = grid.dx * float(np.sum(U) + np.sum(V))
     snapshots = [(0.0, U.copy(), V.copy())]
     mass_series = [(0.0, mass0)]
+    n = grid.n_points
+    w = np.concatenate([U, V])
+    w_new = np.empty_like(w)
     converged = False
     t = 0.0
     it = 0
     next_target = 0
     try:
-        for it in range(1, n_steps + 1):
-            U_new, V_new = step((U, V), operators, params, mode,
-                                linearization=linearization, solver=solver)
-            rate = max(
-                float(np.max(np.abs(U_new - U))),
-                float(np.max(np.abs(V_new - V))),
-            ) / dt
-            U, V = U_new, V_new
-            t = it * dt
-            if next_target < len(targets) and t >= targets[next_target] - 1e-12:
-                snapshots.append((t, U.copy(), V.copy()))
-                mass_series.append((t, grid.dx * float(np.sum(U) + np.sum(V))))
-                while (next_target < len(targets)
-                       and t >= targets[next_target] - 1e-12):
-                    next_target += 1
-            converged = rate < steady_tol
-            if converged and steady_stop:
-                break
+        # blow-up is detected by the kernel; keep the overflow path silent
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(1, n_steps + 1):
+                rate = advance(w, w_new)
+                w, w_new = w_new, w
+                t = it * dt
+                if next_target < len(targets) and t >= targets[next_target] - 1e-12:
+                    U, V = w[:n].copy(), w[n:].copy()
+                    snapshots.append((t, U, V))
+                    mass_series.append((t, grid.dx * float(np.sum(U) + np.sum(V))))
+                    while (next_target < len(targets)
+                           and t >= targets[next_target] - 1e-12):
+                        next_target += 1
+                converged = rate < steady_tol
+                if converged and steady_stop:
+                    break
     except BlowUpError as exc:
         raise BlowUpError(str(exc), step_index=it, t=it * dt) from None
 
+    U, V = w[:n].copy(), w[n:].copy()
     if snapshots[-1][0] != t:
         snapshots.append((t, U.copy(), V.copy()))
         mass_series.append((t, grid.dx * float(np.sum(U) + np.sum(V))))

@@ -246,6 +246,34 @@ def test_main_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(blow), "--out", out]) == 3
 
 
+def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):
+    from membrane_rd.cli import _build_parser
+
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(FAST)
+
+    def cli(cmd, out, *extra):
+        return main([cmd, "--config", str(cfgf), "--out", str(tmp_path / out), *extra])
+
+    assert cli("simulate", "svg", "--svg") == 0
+    assert cli("simulate", "plain") == 0
+    assert cli("analyze", "an") == 0
+    with pytest.raises(SystemExit) as exc:
+        cli("simulate", "bad", "--svg", "--n-max", "3")  # a spectrum option
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-max 3" in capsys.readouterr().err
+    assert cli("simulate", "after") == 0
+    assert _build_parser() is _build_parser()
+
+    svgs = lambda out: sorted(f.name for f in (tmp_path / out).glob("*.svg"))
+    assert svgs("svg") == ["final_u.svg", "final_v.svg"]
+    assert svgs("plain") == [] and svgs("after") == []
+    assert (tmp_path / "plain" / "final.csv").read_bytes() == \
+           (tmp_path / "svg" / "final.csv").read_bytes()
+    assert sorted(f.name for f in (tmp_path / "an").iterdir()) == ["analysis.txt"]
+    assert not (tmp_path / "bad").exists()
+
+
 def test_main_sweep_accepts_theta_c_token(tmp_path):
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text("dx = 0.05\nT = 5\n")

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from membrane_rd import (
     ModelParams,
     assemble,
     build_grid,
+    conserved_mass,
     initial_data,
+    reaction,
     run,
     steady_state,
     step,
-    thomas_solve,
 )
 from membrane_rd.fdm import (
     BlowUpError,
-    banded_matvec,
     kedem_katchalsky_residual,
     membrane_jump,
     midpoint_grid,
@@ -35,6 +36,68 @@ def dense_from_banded(ab):
     A += np.diag(ab[0, 1:], k=1)
     A += np.diag(ab[2, :-1], k=-1)
     return A
+
+
+def dense_from_faces(faces):
+    """C = dt*H as a dense matrix, from the face coefficients alone."""
+    n = faces.size + 1
+    i = np.arange(n - 1)
+    C = np.zeros((n, n))
+    C[i, i] += faces
+    C[i + 1, i + 1] += faces
+    C[i, i + 1] -= faces
+    C[i + 1, i] -= faces
+    return C
+
+
+def explicit_matrix(op):
+    """The explicit theta-method matrix I - (1-T)*C, dense."""
+    C = dense_from_faces(op.faces)
+    return np.eye(C.shape[0]) - (1.0 - op.theta_weight) * C
+
+
+def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8):
+    """Separate U and V increment steps, the stepper before its U/V stacking.
+
+    Returns (U, V, snapshots, n_steps, converged) with the snapshot rule of
+    `run`; raises BlowUpError with the step index and time.
+    """
+    ops = [assemble(p, s) for s in "uv"]
+    chols = [cholesky_banded(op.lhs[:2], lower=False) for op in ops]
+    ss = steady_state(conserved_mass(u0, v0, build_grid(p)), p.eps, p.alpha)
+    dt, n_steps = p.dt, int(np.ceil(T / p.dt - 1e-9))
+    targets = [T / 2**j for j in range(6, -1, -1)]
+    U, V = np.array(u0, dtype=float), np.array(v0, dtype=float)
+    snaps, t, converged = [(0.0, U, V)], 0.0, False
+    for it in range(1, n_steps + 1):
+        if mode == "nonlinear":
+            with np.errstate(over="ignore", invalid="ignore"):
+                fg = reaction(U, V, p.eps, p.alpha)
+        elif mode == "linearized":
+            du, dv = U - ss.u_bar, V - ss.v_bar
+            fg = (ss.jac.fu * du + ss.jac.fv * dv, ss.jac.gu * du + ss.jac.gv * dv)
+        else:
+            fg = (None, None)
+        new = []
+        for X, F, op, chol in zip((U, V), fg, ops, chols):
+            flux = op.faces * np.diff(X)
+            div = np.empty_like(X)
+            div[0], div[-1], div[1:-1] = -flux[0], flux[-1], flux[:-1] - flux[1:]
+            b = -div if F is None else -div + dt * F
+            new.append(X + cho_solve_banded((chol, False), b, check_finite=False))
+        if not all(np.all(np.isfinite(X)) for X in new):
+            raise BlowUpError("non-finite state", step_index=it, t=it * dt)
+        rate = max(np.max(np.abs(new[0] - U)), np.max(np.abs(new[1] - V))) / dt
+        (U, V), t = new, it * dt
+        if targets and t >= targets[0] - 1e-12:
+            snaps.append((t, U, V))
+            targets = [s for s in targets if t < s - 1e-12]
+        converged = rate < steady_tol
+        if converged:
+            break
+    if snaps[-1][0] != t:
+        snaps.append((t, U, V))
+    return U, V, snaps, it, converged
 
 
 # ----------------------------------------------------------------------- grid
@@ -94,7 +157,7 @@ def test_assemble_membrane_rows_fully_implicit():
     assert op.lhs[2, j - 1] == pytest.approx(-op.kappa, rel=1e-14)
     assert op.lhs[0, j + 1] == pytest.approx(-op.mu_r, rel=1e-14)
     # fully implicit: the explicit matrix collapses to the identity
-    assert np.allclose(op.rhs[1], 1.0) and np.allclose(op.rhs[0], 0.0)
+    assert np.array_equal(explicit_matrix(op), np.eye(p.N_l + p.N_r + 2))
 
 
 def test_assemble_sealed_membrane_decouples_blocks():
@@ -112,16 +175,18 @@ def test_assemble_sealed_membrane_decouples_blocks():
 @pytest.mark.parametrize("k_v", [0.0, 0.9, 50.0])
 def test_assemble_constant_preservation(Theta, k_v):
     p = coarse_params(Theta_scheme=Theta, k_v=k_v, dt=1e-3)
-    ones = None
     for species in ("u", "v"):
         op = assemble(p, species)
         n = op.lhs.shape[1]
         ones = np.ones(n)
-        assert np.allclose(banded_matvec(op.lhs, ones), 1.0, atol=1e-12)
-        assert np.allclose(banded_matvec(op.rhs, ones), 1.0, atol=1e-12)
+        lhs, rhs = dense_from_banded(op.lhs), explicit_matrix(op)
+        # the banded lhs is I + T*C for the C of the faces
+        assert np.allclose(lhs, np.eye(n) + Theta * dense_from_faces(op.faces),
+                           rtol=0.0, atol=1e-14)
+        assert np.allclose(lhs @ ones, 1.0, atol=1e-12)
+        assert np.allclose(rhs @ ones, 1.0, atol=1e-12)
         # row-sum identity: (lhs + rhs) @ 1 == 2
-        total = banded_matvec(op.lhs, ones) + banded_matvec(op.rhs, ones)
-        assert np.allclose(total, 2.0, atol=1e-12)
+        assert np.allclose((lhs + rhs) @ ones, 2.0, atol=1e-12)
 
 
 def test_assemble_species_coefficients_differ():
@@ -131,49 +196,6 @@ def test_assemble_species_coefficients_differ():
     assert op_u.kappa == pytest.approx(p.theta * op_v.kappa, rel=1e-14)
     with pytest.raises(ValueError):
         assemble(p, "w")
-
-
-# -------------------------------------------------------------- thomas solve
-
-def test_thomas_identity():
-    ab = np.zeros((3, 5))
-    ab[1] = 1.0
-    b = np.arange(5.0)
-    assert np.array_equal(thomas_solve(ab, b), b)
-
-
-def test_thomas_hand_inverted_3x3():
-    # A = [[2,1,0],[1,2,1],[0,1,2]], A^-1 b known in closed form
-    ab = np.zeros((3, 3))
-    ab[1] = 2.0
-    ab[0, 1:] = 1.0
-    ab[2, :-1] = 1.0
-    b = np.array([1.0, 0.0, 1.0])
-    # A^-1 = (1/4) [[3,-2,1],[-2,4,-2],[1,-2,3]]
-    expect = np.array([1.0, -1.0, 1.0])
-    assert np.allclose(thomas_solve(ab, b), expect, atol=1e-14)
-
-
-def test_thomas_against_dense_oracle():
-    rng = np.random.default_rng(2)
-    n = 200
-    ab = np.zeros((3, n))
-    ab[0, 1:] = rng.uniform(-1, 1, n - 1)
-    ab[2, :-1] = rng.uniform(-1, 1, n - 1)
-    bulk = np.abs(ab[0]) + np.abs(ab[2])
-    ab[1] = bulk + rng.uniform(0.5, 1.5, n)  # strictly diagonally dominant
-    b = rng.normal(size=n)
-    x = thomas_solve(ab, b)
-    oracle = np.linalg.solve(dense_from_banded(ab), b)
-    assert np.allclose(x, oracle, atol=1e-12)
-    res = np.max(np.abs(banded_matvec(ab, x) - b))
-    assert res < 1e-10 * np.max(np.abs(b))
-
-
-def test_thomas_zero_pivot_raises():
-    ab = np.zeros((3, 3))
-    with pytest.raises(ZeroDivisionError):
-        thomas_solve(ab, np.ones(3))
 
 
 # --------------------------------------------------------------------- step
@@ -204,19 +226,6 @@ def test_step_pure_diffusion_preserves_mass():
     assert grid.dx * V.sum() == pytest.approx(m0v, abs=1e-12)
 
 
-def test_step_solvers_agree():
-    p = coarse_params(theta=1e-2)
-    grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
-    state_a, state_b = (u0, v0), (u0, v0)
-    ops = (assemble(p, "u"), assemble(p, "v"))
-    for _ in range(100):
-        state_a = step(state_a, ops, p, solver="banded")
-        state_b = step(state_b, ops, p, solver="thomas")
-    assert np.max(np.abs(state_a[0] - state_b[0])) < 1e-12
-    assert np.max(np.abs(state_a[1] - state_b[1])) < 1e-12
-
-
 def test_step_matches_matrix_form():
     # increment formulation == lhs U' = rhs U + dt F, checked via dense solve
     p = coarse_params(Theta_scheme=0.7, dt=1e-3, k_v=3.0)
@@ -224,13 +233,11 @@ def test_step_matches_matrix_form():
     u0, v0 = initial_data("paper-fig3", grid)
     ops = (assemble(p, "u"), assemble(p, "v"))
     U1, V1 = step((u0, v0), ops, p)
-    from membrane_rd import reaction
-
     f, g = reaction(u0, v0, p.eps, p.alpha)
     U2 = np.linalg.solve(dense_from_banded(ops[0].lhs),
-                         banded_matvec(ops[0].rhs, u0) + p.dt * f)
+                         explicit_matrix(ops[0]) @ u0 + p.dt * f)
     V2 = np.linalg.solve(dense_from_banded(ops[1].lhs),
-                         banded_matvec(ops[1].rhs, v0) + p.dt * g)
+                         explicit_matrix(ops[1]) @ v0 + p.dt * g)
     assert np.max(np.abs(U1 - U2)) < 1e-11
     assert np.max(np.abs(V1 - V2)) < 1e-11
 
@@ -251,8 +258,43 @@ def test_step_blow_up_detected():
     p = coarse_params(Theta_scheme=0.0, dt=1e-2)
     grid = build_grid(p)
     u0, v0 = initial_data("paper-fig3", grid)
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError) as got:
         run(p, (u0, v0), 1.0)
+    with pytest.raises(BlowUpError) as want:
+        reference_run(p, u0, v0, 1.0)
+    assert got.value.step_index == want.value.step_index
+    assert got.value.t == want.value.t
+
+
+@pytest.mark.parametrize("mode, kw, T, stops_early", [
+    ("nonlinear", dict(theta=7.8e-2), 5.0, False),
+    ("linearized", dict(theta=3e-4, dt=1e-3), 0.5, False),
+    # D_u = 5 D_v: v decays last and sets the rate that stops the run
+    ("diffusion", dict(theta=5.0, k_v=2.0, Theta_scheme=0.5, dt=1e-3), 10.0, True),
+    ("nonlinear", dict(theta=1e-2, Theta_scheme=0.0, dt=2e-4), 0.5, False),
+    ("nonlinear", dict(theta=1e-2, Theta_scheme=0.5, dt=1e-3), 1.0, False),
+    ("nonlinear", dict(theta=1e-2, Theta_scheme=1.0), 5.0, False),
+    ("nonlinear", dict(theta=1e-2, k_v=0.0), 5.0, False),
+    ("nonlinear", dict(theta=3e-4, k_v=1.0), 5.0, False),
+    ("nonlinear", dict(theta=3e-4, k_v=1e8), 5.0, False),
+    ("nonlinear", dict(theta=1e-2, x_m=1.0 / 3.0, N_l=65, N_r=131, dx=1.0 / 198.0),
+     2.0, False),
+    ("nonlinear", dict(theta=0.3101693089477196), 1000.0, True),
+], ids=["nonlinear", "linearized", "diffusion", "Theta0", "Theta0.5", "Theta1",
+        "k_v0", "k_v1", "k_v1e8", "x_m_third", "theta_c"])
+def test_run_is_bitwise_the_per_species_step(mode, kw, T, stops_early):
+    # the stacked U/V step must reproduce the per-species step exactly
+    p = coarse_params(**kw)
+    grid = build_grid(p)
+    u0, v0 = initial_data("paper-fig3", grid)
+    U, V, snaps, n_steps, converged = reference_run(p, u0, v0, T, mode)
+    res = run(p, (u0, v0), T, mode=mode)
+    assert (res.n_steps, res.converged) == (n_steps, converged)
+    assert converged == stops_early and (n_steps < T / p.dt) == stops_early
+    assert np.array_equal(res.u.values, U) and np.array_equal(res.v.values, V)
+    assert [t for t, _, _ in res.snapshots] == [t for t, _, _ in snaps]
+    for (_, U1, V1), (_, U2, V2) in zip(res.snapshots, snaps):
+        assert np.array_equal(U1, U2) and np.array_equal(V1, V2)
 
 
 # ---------------------------------------------------------------------- run
