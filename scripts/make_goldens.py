@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from membrane_rd import ModelParams, build_grid, initial_data, run, steady_state
+from membrane_rd import ModelParams, build_grid, initial_data, run_batch, steady_state
 from membrane_rd.fdm import side_variation, sign_changes
 
 THETA_C = 0.3101693089477196
@@ -29,11 +29,19 @@ T_FINAL = 1000.0
 STRIDE = 4
 
 
-def run_case(kw, dx):
-    params = ModelParams(dx=dx, **kw)
-    grid = build_grid(params)
-    u0, v0 = initial_data("paper-fig3", grid)
-    res = run(params, (u0, v0), T_FINAL, steady_stop=False)
+def run_cases(dx):
+    """The three cases at one dx, stepped as one batch (each bitwise its own run)."""
+    params = [ModelParams(dx=dx, **kw) for kw in CASES.values()]
+    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    results = run_batch(params, initials, T_FINAL, steady_stop=False)
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return [summarize(res, dx) for res in results]
+
+
+def summarize(res, dx):
+    grid = res.grid
     ss = steady_state(0.8)
     U, V = res.u.values, res.v.values
     var_l, var_r = side_variation(U, grid)
@@ -74,9 +82,9 @@ def refinement_gap(grid_c, u_c, grid_f, u_f):
 
 def main():
     out = {"T": T_FINAL, "cases": {}}
-    for label, kw in CASES.items():
-        grid_c, res_c, sum_c = run_case(kw, 1.0 / 200.0)
-        grid_f, res_f, sum_f = run_case(kw, 1.0 / 400.0)
+    coarse, fine = run_cases(1.0 / 200.0), run_cases(1.0 / 400.0)
+    for (label, kw), (grid_c, res_c, sum_c), (grid_f, res_f, sum_f) in zip(
+            CASES.items(), coarse, fine):
         gap = refinement_gap(grid_c, res_c.u.values, grid_f, res_f.u.values)
         print(f"{label}: dx=1/200 jump_u={sum_c['jump_u']:.4g} "
               f"var=({sum_c['supvar_u_l']:.3g},{sum_c['supvar_u_r']:.3g}) "

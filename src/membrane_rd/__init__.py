@@ -51,6 +51,7 @@ from .fdm import (
     build_grid,
     midpoint_grid,
     run,
+    run_batch,
     step,
 )
 
@@ -64,5 +65,5 @@ __all__ = [
     "dispersion", "eigenfunction", "eigenvalues", "h", "h_prime",
     "initial_data", "instability_range", "midpoint_grid", "mode_eigenvector",
     "ode_stability", "p_polynomial", "project", "r_general", "r_simple",
-    "reaction", "run", "steady_state", "step", "theta_critical",
+    "reaction", "run", "run_batch", "steady_state", "step", "theta_critical",
 ]

@@ -4,7 +4,7 @@ Commands:
     analyze  --config F [--out D]            stability + spectrum report
     simulate --config F --out D [--svg]      time integration, CSV snapshots
     spectrum --config F --n-max N [--out D]  eigenvalue table
-    sweep    --config F --param P --values v1,v2,... [--out D] [--jobs N]
+    sweep    --config F --param P --values v1,v2,... [--out D]
 
 Config files are `key = value` lines with `#` comments.  Exit codes:
 0 success, 2 config error, 3 numerical blow-up, 4 I/O failure.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -179,9 +178,12 @@ def analyze(cfg: RunConfig) -> AnalysisReport:
     ss = steady_state(M, params.eps, params.alpha)
     ode = stability.ode_stability(ss.jac)
     rng = stability.instability_range(params.theta, ss.jac)
-    count, hits = spectrum.count_unstable(rng, params, with_modes=True)
+    # one spectrum serves the count and the listed modes (at most cap + 2)
+    n_cap = 0 if rng.is_empty else spectrum.unstable_mode_cap(rng, params)
+    modes = spectrum.eigenvalues(params, max(8, n_cap + 2))
+    count, hits = spectrum.count_unstable(rng, params, with_modes=True, modes=modes)
     n_show = max(8, (hits[-1].n + 2) if hits else 0)
-    modes = spectrum.eigenvalues(params, n_show)
+    modes = modes[:n_show + 1]
     dominant = None
     if hits:
         growth = [stability.dispersion(m.eta, params.theta, ss.jac).max_re
@@ -325,6 +327,12 @@ def _format_sim_report(cfg: RunConfig, res: fdm.SimResult) -> str:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str | Path, svg: bool = False) -> fdm.SimResult:
     res = simulate(cfg)
+    _write_simulation(cfg, res, out_dir, svg)
+    return res
+
+
+def _write_simulation(cfg: RunConfig, res: fdm.SimResult, out_dir: str | Path,
+                      svg: bool = False):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ["index,t,file,mass"]
@@ -338,7 +346,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str | Path, svg: bool = False) -> fdm.
     if svg:
         _svg_profile(out / "final_u.svg", res.grid, res.u.values, "u")
         _svg_profile(out / "final_v.svg", res.grid, res.v.values, "v")
-    return res
 
 
 # ------------------------------------------------------------------ spectrum
@@ -376,9 +383,7 @@ def _sweep_child(cfg: RunConfig, param: str, value: float) -> RunConfig:
     return _resolve(child)
 
 
-def _run_child(child: RunConfig) -> dict:
-    rep = analyze(child)
-    res = cmd_simulate(child, child.out_dir)
+def _child_summary(rep: AnalysisReport, res: fdm.SimResult) -> dict:
     U = res.u.values
     var_l, var_r = fdm.side_variation(U, res.grid)
     sc_l, sc_r = fdm.sign_changes(U, rep.u_bar, res.grid)
@@ -391,25 +396,48 @@ def _run_child(child: RunConfig) -> dict:
     }
 
 
+def _failure(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
-              out_dir: str | Path | None = None, jobs: int = 1) -> list[dict]:
+              out_dir: str | Path | None = None) -> list[dict]:
+    """One simulation per value, all stepped together by `fdm.run_batch`.
+
+    A child that fails (its config, analysis, run or files) is recorded in
+    its row and the others carry on.
+    """
     if param not in _SWEEP_PARAMS:
         raise ConfigError("param", f"sweep parameter must be one of {_SWEEP_PARAMS}")
     if not 1 <= len(values) <= 64:
         raise ConfigError("values", "need between 1 and 64 sweep values")
     base = replace(cfg, out_dir=str(out_dir)) if out_dir is not None else cfg
 
-    def guard(value):
+    results = [None] * len(values)
+    ready = []  # (row, child config, analysis, params, initial state)
+    for row, value in enumerate(values):
         try:
-            return _run_child(_sweep_child(base, param, value))
+            child = _sweep_child(base, param, value)
+            rep = analyze(child)
+            params = child.to_params()
+            initial = _initial_state(child, params, fdm.build_grid(params))
         except Exception as exc:  # failures recorded per-row, sweep continues
-            return {"error": f"{type(exc).__name__}: {exc}"}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(guard, values))
-    else:
-        results = [guard(v) for v in values]
+            results[row] = _failure(exc)
+            continue
+        ready.append((row, child, rep, params, initial))
+    try:
+        runs = fdm.run_batch([r[3] for r in ready], [r[4] for r in ready], base.T)
+    except Exception as exc:  # an error common to the batch fails every child
+        runs = [exc] * len(ready)
+    for (row, child, rep, _, _), res in zip(ready, runs):
+        if isinstance(res, Exception):
+            results[row] = _failure(res)
+            continue
+        try:
+            _write_simulation(child, res, child.out_dir)
+            results[row] = _child_summary(rep, res)
+        except Exception as exc:
+            results[row] = _failure(exc)
 
     header = ("param,value,count,converged,jump_u,jump_v,supvar_l,supvar_r,"
               "crossings_l,crossings_r,mass_drift,status")
@@ -484,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
     sp.add_argument("--values", required=True,
                     help="comma-separated values; 'theta_c' is accepted")
-    sp.add_argument("--jobs", type=int, default=1)
     return p
 
 
@@ -506,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_spectrum(cfg, args.n_max, out)
         elif args.cmd == "sweep":
             values = _parse_sweep_values(cfg, args.values)
-            summary = cmd_sweep(cfg, args.param, values, out, jobs=args.jobs)
+            summary = cmd_sweep(cfg, args.param, values, out)
             failed = [s for s in summary if "error" in s]
             for s in failed:
                 print(f"sweep {args.param}={s['value']:g} failed: {s['error']}",

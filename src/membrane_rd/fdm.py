@@ -22,15 +22,25 @@ rhs = I - (1-T)*C), with C U computed as a difference of face fluxes.  That
 makes the discrete mass telescope exactly in floating point instead of to
 solver accuracy.
 
-Both species are stepped as one stacked state w = [U; V] of length 2n.  Its
-2n-1 faces are the u faces, an exact 0.0 at the U/V junction, then the v
-faces, so C is block diagonal and I + T*C has a single banded Cholesky
-factor, computed once per run.  The junction face carries a zero flux, adds
-nothing to the diagonal and makes the factor's coupling entry zero, so the
-flux difference, the factor and its two substitutions do the same
-floating-point operations on every entry as separate U and V steps: the
-stacked step is bitwise equal to them.  The step loop writes into
-preallocated buffers and calls LAPACK ``pbtrs`` directly.
+One kernel steps B >= 1 parameter sets (members) at once, as one stacked
+state w = [U_1 ... U_B, V_1 ... V_B].  Its faces are each block's own faces
+with an exact 0.0 at every block junction, so C is block diagonal and
+I + T*C has a single banded Cholesky factor: the members' own factors side
+by side, each block's first column holding its zero coupling.  A junction
+face carries a zero flux and adds nothing to the diagonal, and a zero
+coupling adds nothing to either substitution, so the flux difference and
+the one ``pbtrs`` per step do the same floating-point operations on every
+entry as a member stepped alone.  Each member's dt, eps, alpha (or its
+linearisation) enter per entry, and its rate max|dU, dV|/dt is the max
+over its two blocks; B = 1 uses scalars and one max instead.  A member
+that converges or takes its last step leaves the batch, and the kernel is
+rebuilt from the rest.  The one exception to block independence is
+0 * inf = nan at a junction: a blow-up spreads into the other blocks, so
+the step is then repeated for each member alone to find who blew up, and
+redone without them.  Hence `run_batch` gives every member bit for bit the
+result of `run`, which is the same kernel at B = 1; `step` is one call of
+it.  The step loop writes into preallocated buffers and calls LAPACK
+``pbtrs`` directly.
 """
 
 from __future__ import annotations
@@ -211,72 +221,119 @@ def assemble(params: ModelParams, species: str) -> StepOperator:
     )
 
 
-def _stepper(operators, params: ModelParams, mode: str,
-             linearization: SteadyState | None):
-    """The step kernel for the stacked state w = [U; V].
+MODES = ("nonlinear", "linearized", "diffusion")
 
-    Returns ``advance(w, w_new)``, which writes the step from w into w_new
-    and returns the rate max|w_new - w| / dt, or raises BlowUpError if
-    w_new is not finite.  It reuses the buffers made here; callers silence
-    floating-point warnings once around their loop.
-    """
-    dt = params.dt
-    if mode == "nonlinear":
-        eps, alpha = params.eps, params.alpha
 
-        def react(U, V):
-            return reaction(U, V, eps, alpha)
-    elif mode == "linearized":
-        if linearization is None:
-            raise ValueError("linearized mode needs the steady state")
-        ss = linearization
+@dataclass(frozen=True, eq=False)
+class _Member:
+    """One parameter set made ready for the step kernel."""
 
-        def react(U, V):
-            du = U - ss.u_bar
-            dv = V - ss.v_bar
-            return ss.jac.fu * du + ss.jac.fv * dv, ss.jac.gu * du + ss.jac.gv * dv
-    elif mode == "diffusion":
-        react = None
-    else:
-        raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
+    params: ModelParams
+    n: int                      # unknowns per species
+    faces_u: np.ndarray
+    faces_v: np.ndarray
+    chol: np.ndarray            # (2, 2n) upper banded factor of I + T*C on [U; V]
+    linearization: SteadyState | None
 
+
+def _member(operators, params: ModelParams,
+            linearization: SteadyState | None) -> _Member:
     op_u, op_v = operators
-    n = op_u.faces.size + 1
-    faces = np.concatenate([op_u.faces, [0.0], op_v.faces])
-    # the v block's unused corner lhs[0, 0] == 0 is the junction coupling
+    # the v block's unused corner lhs[0, 0] == 0 is the U/V coupling
     chol = cholesky_banded(np.hstack([op_u.lhs[:2], op_v.lhs[:2]]), lower=False)
+    return _Member(params=params, n=op_u.faces.size + 1, faces_u=op_u.faces,
+                   faces_v=op_v.faces, chol=chol, linearization=linearization)
+
+
+def _kernel(members: list[_Member], mode: str):
+    """The step kernel for the stacked state [U_1 ... U_B, V_1 ... V_B].
+
+    Returns ``(advance, rates)``.  ``advance(w, w_new)`` writes the step
+    from w into w_new, fills ``rates[b]`` with member b's
+    max|w_new - w| / dt_b over both its blocks and returns the smallest
+    rate; it raises BlowUpError if w_new is not finite.  It reuses the
+    buffers made here; callers silence floating-point warnings once around
+    their loop.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
+    B = len(members)
+    sizes = [m.n for m in members]
+    nu = sum(sizes)
+
+    def spread(values):
+        # one constant per member: a scalar at B = 1, else one per entry of U
+        return values[0] if B == 1 else np.repeat(values, sizes)
+
+    dt = spread([m.params.dt for m in members])
+    if mode == "nonlinear":
+        eps = spread([m.params.eps for m in members])
+        alpha = spread([m.params.alpha for m in members])
+    elif mode == "linearized":
+        if any(m.linearization is None for m in members):
+            raise ValueError("linearized mode needs the steady state")
+        lins = [m.linearization for m in members]
+        u_bar = spread([s.u_bar for s in lins])
+        v_bar = spread([s.v_bar for s in lins])
+        fu, fv, gu, gv = (spread([getattr(s.jac, d) for s in lins])
+                          for d in ("fu", "fv", "gu", "gv"))
+
+    blocks = [m.faces_u for m in members] + [m.faces_v for m in members]
+    junction = np.zeros(1)
+    faces = np.concatenate([a for blk in blocks for a in (junction, blk)][1:])
+    # a member's factor is block diagonal, so the batch factor is theirs side
+    # by side; each block's first column holds its zero coupling
+    chol = np.asfortranarray(np.hstack([m.chol[:, :m.n] for m in members]
+                                       + [m.chol[:, m.n:] for m in members]))
     pbtrs, = get_lapack_funcs(("pbtrs",), (chol,))
-    flux = np.empty(2 * n - 1)
+    flux = np.empty(2 * nu - 1)
     flux_hi, flux_lo = flux[1:], flux[:-1]
-    rhs = np.empty(2 * n)
-    rhs_u, rhs_v, rhs_inner = rhs[:n], rhs[n:], rhs[1:-1]
-    work = np.empty(2 * n)
-    work_u = work[:n]
+    rhs = np.empty(2 * nu)
+    rhs_u, rhs_v, rhs_inner = rhs[:nu], rhs[nu:], rhs[1:-1]
+    work = np.empty(2 * nu)
+    work_u, work_v = work[:nu], work[nu:]
+    rates = np.empty(B)
+    if B > 1:
+        starts = np.cumsum([0] + sizes + sizes[:-1])
+        block_max = np.empty(2 * B)
+        dts = np.array([m.params.dt for m in members])
 
     def advance(w, w_new):
-        if react is not None:
-            f, g = react(w[:n], w[n:])
         # rhs = -C w as a telescoping difference of the face fluxes
         np.subtract(w[1:], w[:-1], out=flux)
         np.multiply(faces, flux, out=flux)
         rhs[0] = flux[0]
         np.subtract(flux_hi, flux_lo, out=rhs_inner)
         rhs[-1] = -flux[-1]
-        if react is not None:
-            np.add(rhs_u, np.multiply(f, dt, out=work_u), out=rhs_u)
-            np.add(rhs_v, np.multiply(g, dt, out=work_u), out=rhs_v)
+        if mode == "nonlinear":
+            f = reaction(w[:nu], w[nu:], eps, alpha, out=(work_u, work_v))
+            np.multiply(f, dt, out=f)
+            np.add(rhs_u, f, out=rhs_u)
+            np.subtract(rhs_v, f, out=rhs_v)  # g = -f
+        elif mode == "linearized":
+            du = w[:nu] - u_bar
+            dv = w[nu:] - v_bar
+            np.add(rhs_u, (fu * du + fv * dv) * dt, out=rhs_u)
+            np.add(rhs_v, (gu * du + gv * dv) * dt, out=rhs_v)
         x, info = pbtrs(chol, rhs, overwrite_b=1)
         if info:
             raise (LinAlgError if info > 0 else ValueError)(f"pbtrs: info = {info}")
         np.add(w, x, out=w_new)
         np.subtract(w_new, w, out=work)
-        rate = float(np.abs(work, out=work).max()) / dt
-        # a non-finite entry of w_new makes the rate inf or nan
-        if not math.isfinite(rate) and not np.isfinite(w_new).all():
+        np.abs(work, out=work)
+        if B == 1:
+            lo = hi = rates[0] = float(work.max()) / dt
+        else:
+            np.maximum.reduceat(work, starts, out=block_max)
+            np.maximum(block_max[:B], block_max[B:], out=rates)
+            np.divide(rates, dts, out=rates)
+            lo, hi = rates.min(), rates.max()
+        # a non-finite entry of w_new makes its member's rate inf or nan
+        if not math.isfinite(hi) and not np.isfinite(w_new).all():
             raise BlowUpError("non-finite state after step")
-        return rate
+        return lo
 
-    return advance
+    return advance, rates
 
 
 def step(state, operators, params: ModelParams, mode: str = "nonlinear", *,
@@ -287,7 +344,7 @@ def step(state, operators, params: ModelParams, mode: str = "nonlinear", *,
     the equilibrium applied to deviations, 'diffusion' switches the
     reactions off.  Returns the new (U, V).
     """
-    advance = _stepper(operators, params, mode, linearization)
+    advance, _ = _kernel([_member(operators, params, linearization)], mode)
     w = np.concatenate(state, dtype=float)
     w_new = np.empty_like(w)
     # blow-up is detected by the kernel; keep the overflow path silent
@@ -323,18 +380,68 @@ def _snapshot_times(T: float) -> list[float]:
     return [T / 2**j for j in range(6, -1, -1)]
 
 
-def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,
-        steady_tol: float = 1e-8, steady_stop: bool = True,
-        linearization: SteadyState | None = None) -> SimResult:
-    """Integrate to time T, or stop earlier once max|dU, dV|/dt < steady_tol.
+def _snapshot_steps(T: float, dt: float, n_steps: int) -> list[int]:
+    """Steps that record a snapshot, latest first.
 
-    ``initial`` is the (u0, v0) pair on the grid of ``params``.  Snapshots
-    (with the running mass) are recorded at t = 0 and at the geometric
-    times T/64, T/32, ..., T.  Blow-up raises BlowUpError with the step
-    index attached.
+    The snapshot for time s is taken at the first step with
+    it*dt >= s - 1e-12; one step that passes several times records once.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    steps = []
+    for s in _snapshot_times(T):
+        threshold = s - 1e-12
+        it = max(1, math.ceil(threshold / dt))
+        while it > 1 and (it - 1) * dt >= threshold:
+            it -= 1
+        while it * dt < threshold:
+            it += 1
+        if it <= n_steps and (not steps or steps[-1] != it):
+            steps.append(it)
+    return steps[::-1]
+
+
+@dataclass(eq=False)
+class _Run:
+    """A batch member's record while it steps."""
+
+    index: int
+    member: _Member
+    grid: Grid
+    n_steps: int
+    snapshot_steps: list     # latest first
+    U: np.ndarray            # its state when the batch last changed
+    V: np.ndarray
+    snapshots: list
+    mass_series: list
+
+    @property
+    def next_event(self) -> int:
+        return self.snapshot_steps[-1] if self.snapshot_steps else self.n_steps
+
+    def record(self, t: float, U: np.ndarray, V: np.ndarray):
+        U, V = U.copy(), V.copy()
+        self.snapshots.append((t, U, V))
+        self.mass_series.append((t, self.grid.dx * float(np.sum(U) + np.sum(V))))
+
+    def result(self, mode: str, it: int, U, V, converged: bool) -> SimResult:
+        t = it * self.member.params.dt
+        U, V = U.copy(), V.copy()
+        if self.snapshots[-1][0] != t:
+            self.record(t, U, V)
+        mass0 = self.mass_series[0][1]
+        drift = max(abs(m - mass0) for _, m in self.mass_series) / abs(mass0)
+        i, j = self.grid.membrane_index
+        return SimResult(
+            params=self.member.params, grid=self.grid, mode=mode,
+            u=Field(U, "u"), v=Field(V, "v"),
+            t_final=t, n_steps=it, converged=converged,
+            jump=(abs(U[j] - U[i]), abs(V[j] - V[i])),
+            snapshots=self.snapshots, mass_series=self.mass_series,
+            mass_drift=drift,
+        )
+
+
+def _start(index: int, params: ModelParams, initial, T: float, mode: str,
+           linearization: SteadyState | None) -> _Run:
     grid = build_grid(params)
     U = np.array(initial[0], dtype=float)
     V = np.array(initial[1], dtype=float)
@@ -344,55 +451,124 @@ def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,
     if mode == "linearized" and linearization is None:
         M = conserved_mass(U, V, grid)
         linearization = steady_state(M, params.eps, params.alpha)
-
-    advance = _stepper(operators, params, mode, linearization)
-
-    dt = params.dt
-    n_steps = int(np.ceil(T / dt - 1e-9))
-    targets = _snapshot_times(T)
+    n_steps = int(np.ceil(T / params.dt - 1e-9))
     mass0 = grid.dx * float(np.sum(U) + np.sum(V))
-    snapshots = [(0.0, U.copy(), V.copy())]
-    mass_series = [(0.0, mass0)]
-    n = grid.n_points
-    w = np.concatenate([U, V])
-    w_new = np.empty_like(w)
-    converged = False
-    t = 0.0
-    it = 0
-    next_target = 0
-    try:
-        # blow-up is detected by the kernel; keep the overflow path silent
-        with np.errstate(over="ignore", invalid="ignore"):
-            for it in range(1, n_steps + 1):
-                rate = advance(w, w_new)
-                w, w_new = w_new, w
-                t = it * dt
-                if next_target < len(targets) and t >= targets[next_target] - 1e-12:
-                    U, V = w[:n].copy(), w[n:].copy()
-                    snapshots.append((t, U, V))
-                    mass_series.append((t, grid.dx * float(np.sum(U) + np.sum(V))))
-                    while (next_target < len(targets)
-                           and t >= targets[next_target] - 1e-12):
-                        next_target += 1
-                converged = rate < steady_tol
-                if converged and steady_stop:
-                    break
-    except BlowUpError as exc:
-        raise BlowUpError(str(exc), step_index=it, t=it * dt) from None
-
-    U, V = w[:n].copy(), w[n:].copy()
-    if snapshots[-1][0] != t:
-        snapshots.append((t, U.copy(), V.copy()))
-        mass_series.append((t, grid.dx * float(np.sum(U) + np.sum(V))))
-    drift = max(abs(m - mass0) for _, m in mass_series) / abs(mass0)
-    i, j = grid.membrane_index
-    return SimResult(
-        params=params, grid=grid, mode=mode,
-        u=Field(U, "u"), v=Field(V, "v"),
-        t_final=t, n_steps=it, converged=converged,
-        jump=(abs(U[j] - U[i]), abs(V[j] - V[i])),
-        snapshots=snapshots, mass_series=mass_series, mass_drift=drift,
+    return _Run(
+        index=index, member=_member(operators, params, linearization),
+        grid=grid, n_steps=n_steps,
+        snapshot_steps=_snapshot_steps(T, params.dt, n_steps), U=U, V=V,
+        snapshots=[(0.0, U.copy(), V.copy())], mass_series=[(0.0, mass0)],
     )
+
+
+def run_batch(params_list, initials, T: float, mode: str = "nonlinear", *,
+              steady_tol: float = 1e-8, steady_stop: bool = True,
+              linearizations=None) -> list:
+    """Integrate B parameter sets to time T in one stacked kernel.
+
+    ``initials`` holds one (u0, v0) pair per member on its grid, and
+    ``linearizations`` one steady state or None per member (None derives
+    it from the member's mass in 'linearized' mode).  Every member keeps
+    its own dt, snapshot times and stop: once it converges (max|dU, dV|/dt
+    < steady_tol, with ``steady_stop``) or takes its last step, its blocks
+    leave the batch and the kernel is rebuilt from the rest.  Returns one
+    entry per member, in order: a SimResult equal bit for bit to what
+    ``run`` gives for it, or the ValueError its input raised, or the
+    BlowUpError of its blow-up, with the step index and time ``run`` gives.
+    """
+    if T <= 0:
+        raise ValueError("T must be positive")
+    if mode not in MODES:
+        raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
+    if linearizations is None:
+        linearizations = [None] * len(params_list)
+    if not len(params_list) == len(initials) == len(linearizations):
+        raise ValueError("need one initial state and linearization per member")
+    results = [None] * len(params_list)
+    active = []
+    for b, (params, initial, lin) in enumerate(
+            zip(params_list, initials, linearizations)):
+        try:
+            r = _start(b, params, initial, T, mode, lin)
+        except ValueError as exc:  # a member's own input fails that member only
+            results[b] = exc
+            continue
+        if r.n_steps:
+            active.append(r)
+        else:
+            results[b] = r.result(mode, 0, r.U, r.V, False)
+
+    it = 0
+    # blow-up is detected by the kernel; keep the overflow path silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active:
+            advance, rates = _kernel([r.member for r in active], mode)
+            w = np.concatenate([r.U for r in active] + [r.V for r in active])
+            w_new = np.empty_like(w)
+            ends = np.cumsum([r.member.n for r in active]).tolist()
+            nu = ends[-1]
+            spans = list(zip([0] + ends[:-1], ends))
+
+            def blocks(i):
+                a, b = spans[i]
+                return w[a:b], w[nu + a:nu + b]
+
+            next_event = min(r.next_event for r in active)
+            left = []
+            while not left:
+                it += 1
+                try:
+                    lo = advance(w, w_new)
+                except BlowUpError as exc:
+                    # 0 * inf at a junction carries a blow-up into the other
+                    # blocks: step each member alone from w to find the ones
+                    # that blew up, then redo the step without them
+                    for i, r in enumerate(active):
+                        alone, _ = _kernel([r.member], mode)
+                        try:
+                            alone(np.concatenate(blocks(i)), np.empty(2 * r.member.n))
+                        except BlowUpError as own:
+                            results[r.index] = BlowUpError(
+                                str(own), step_index=it, t=it * r.member.params.dt)
+                            left.append(i)
+                    if not left:
+                        raise exc
+                    it -= 1
+                    break
+                w, w_new = w_new, w
+                if it < next_event and not (steady_stop and lo < steady_tol):
+                    continue
+                for i, r in enumerate(active):
+                    U, V = blocks(i)
+                    if r.snapshot_steps and r.snapshot_steps[-1] == it:
+                        r.snapshot_steps.pop()
+                        r.record(it * r.member.params.dt, U, V)
+                    rate = float(rates[i])
+                    if it == r.n_steps or (steady_stop and rate < steady_tol):
+                        results[r.index] = r.result(mode, it, U, V, rate < steady_tol)
+                        left.append(i)
+                next_event = min(r.next_event for r in active)
+            for i, r in enumerate(active):
+                r.U, r.V = (x.copy() for x in blocks(i))
+            active = [r for i, r in enumerate(active) if i not in left]
+    return results
+
+
+def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,
+        steady_tol: float = 1e-8, steady_stop: bool = True,
+        linearization: SteadyState | None = None) -> SimResult:
+    """Integrate to time T, or stop earlier once max|dU, dV|/dt < steady_tol.
+
+    ``initial`` is the (u0, v0) pair on the grid of ``params``.  Snapshots
+    (with the running mass) are recorded at t = 0 and at the geometric
+    times T/64, T/32, ..., T.  Blow-up raises BlowUpError with the step
+    index attached.  This is ``run_batch`` with one member.
+    """
+    result, = run_batch([params], [initial], T, mode, steady_tol=steady_tol,
+                        steady_stop=steady_stop, linearizations=[linearization])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -170,10 +170,23 @@ def h_prime(u, alpha=1.0):
     return alpha * (3.0 * u * u - 4.0 * u + 1.0)
 
 
-def reaction(u, v, eps=1.0, alpha=1.0):
-    """Evaluate (f, g) pointwise; g is the exact negation of f, so f + g == 0."""
-    f = (v - h(u, alpha)) / eps
-    return f, -f
+def reaction(u, v, eps=1.0, alpha=1.0, *, out=None):
+    """Evaluate (f, g) pointwise; g is the exact negation of f, so f + g == 0.
+
+    f = (v - (alpha*u)*((u-1)*(u-1))) / eps, the same roundings as
+    (v - h(u, alpha)) / eps.  With ``out=(f, scratch)``, two float arrays
+    of the broadcast shape, f is written into the first (the second holds
+    (u-1)^2) and returned alone, without allocating; g = -f is then left
+    to the caller.  eps and alpha may be arrays that broadcast against u.
+    """
+    f_out, sq_out = (None, None) if out is None else out
+    sq = np.subtract(u, 1.0, out=sq_out)
+    sq = np.multiply(sq, sq, out=sq_out)
+    f = np.multiply(alpha, u, out=f_out)
+    f = np.multiply(f, sq, out=f_out)
+    f = np.subtract(v, f, out=f_out)
+    f = np.divide(f, eps, out=f_out)
+    return (f, -f) if out is None else f
 
 
 def conserved_mass(u0, v0, grid) -> float:

@@ -235,20 +235,35 @@ def project(deviation, modes, grid) -> np.ndarray:
     )
 
 
-def count_unstable(rng, params: ModelParams, *, with_modes: bool = False):
+def unstable_mode_cap(rng, params: ModelParams) -> int:
+    """Highest mode index that `count_unstable` examines for a non-empty range.
+
+    The sealed-membrane family bounds every eta_n from below, so it caps n.
+    """
+    return int(math.ceil(
+        1.0 + params.L * math.sqrt(rng.eta_plus / params.D_vr) / (2.0 * math.pi)
+    )) + 2
+
+
+def count_unstable(rng, params: ModelParams, *, with_modes: bool = False,
+                   modes: list[EigenMode] | None = None):
     """Eigenvalues strictly inside the unstable interval (eta = 0 never counts).
 
     ``rng`` is a stability.InstabilityRange; an empty range yields (0, []).
+    ``modes`` may pass an `eigenvalues` list reaching at least mode
+    `unstable_mode_cap`; its prefix is used instead of solving again.
+    Each eigenvalue is solved on its own branch, so that prefix is exactly
+    the shorter list.
     """
     if rng.is_empty:
         return 0, []
     _require_nu1(params)
-    # the sealed-membrane family bounds every eta_n from below, so it caps n
-    n_max = int(math.ceil(
-        1.0 + params.L * math.sqrt(rng.eta_plus / params.D_vr) / (2.0 * math.pi)
-    )) + 2
-    modes = eigenvalues(params, n_max)
-    hits = [m for m in modes
+    n_max = unstable_mode_cap(rng, params)
+    if modes is None:
+        modes = eigenvalues(params, n_max)
+    elif len(modes) <= n_max:
+        raise ValueError(f"modes must reach mode {n_max}, got {len(modes) - 1}")
+    hits = [m for m in modes[:n_max + 1]
             if m.eta > 0.0 and rng.eta_minus < m.eta < rng.eta_plus]
     if with_modes:
         return len(hits), hits

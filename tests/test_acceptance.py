@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The heavy time integrations (criteria 6 and 7 share them) run once per
-session through the `sim_cache` fixture: T = 1000 at dx = 1/200 with the
-steady-state early exit disabled, so every run takes the full 1e5 steps.
+session through the `sim_cache` fixture, as one `run_batch`: T = 1000 at
+dx = 1/200 with the steady-state early exit disabled, so every run takes
+the full 1e5 steps.
 """
 
 import json
@@ -26,6 +27,7 @@ from membrane_rd import (
     midpoint_grid,
     project,
     run,
+    run_batch,
     steady_state,
     theta_critical,
 )
@@ -58,13 +60,14 @@ def conclude(num, name, failures):
 
 @pytest.fixture(scope="session")
 def sim_cache():
-    cache = {}
-    for theta, k_v in SIM_CONFIGS:
-        params = ModelParams(theta=theta, k_v=k_v)
-        grid = build_grid(params)
-        u0, v0 = initial_data("paper-fig3", grid)
-        cache[(theta, k_v)] = run(params, (u0, v0), 1000.0, steady_stop=False)
-    return cache
+    # one batch: each member is bitwise its own `run`
+    params = [ModelParams(theta=theta, k_v=k_v) for theta, k_v in SIM_CONFIGS]
+    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    results = run_batch(params, initials, 1000.0, steady_stop=False)
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return dict(zip(SIM_CONFIGS, results))
 
 
 @pytest.fixture(scope="session")
@@ -291,13 +294,18 @@ def test_c09_modal_growth(paper_ss):
 def test_c10_eps_sweep_monotonicity(paper_ss):
     failures = []
     eps_values = [10.0, 1.0, 1.0 / 5.0, 1.0 / 20.0, 1.0 / 100.0]
-    for k_v in (0.0, 1.0, 1e8):
+    k_values = (0.0, 1.0, 1e8)
+    # all 15 runs in one batch, each bitwise its own `run` (dt follows eps)
+    params = [ModelParams(theta=1e-4, k_v=k_v, eps=eps)
+              for k_v in k_values for eps in eps_values]
+    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    results = iter(run_batch(params, initials, 1000.0))
+    for k_v in k_values:
         counts = []
         for eps in eps_values:
-            params = ModelParams(theta=1e-4, k_v=k_v, eps=eps)
-            grid = build_grid(params)
-            u0, v0 = initial_data("paper-fig3", grid)
-            res = run(params, (u0, v0), 1000.0)
+            res = next(results)
+            if isinstance(res, Exception):
+                raise res
             ss = steady_state(0.8, eps=eps)
             counts.append(sign_changes(res.u.values, ss.u_bar, res.grid))
         for side, label in ((0, "left"), (1, "right")):

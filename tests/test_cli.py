@@ -189,24 +189,34 @@ def test_sweep_k_v_restores_continuity(tmp_path):
     assert summary[2]["jump_u"] < 1e-3
 
 
-def test_sweep_parallel_runs_match_serial(tmp_path):
+def test_sweep_children_match_standalone_simulate(tmp_path):
+    # eps = 0.02 halves dt, so the batched children step with different dt
     cfg = parse_config("dx = 0.05\nT = 10\n")
-    cmd_sweep(cfg, "eps", [1.0, 0.5], tmp_path / "serial", jobs=1)
-    cmd_sweep(cfg, "eps", [1.0, 0.5], tmp_path / "par", jobs=2)
-    assert (tmp_path / "serial" / "sweep_summary.csv").read_bytes() == \
-           (tmp_path / "par" / "sweep_summary.csv").read_bytes()
-    for child in ("eps_1", "eps_0.5"):
-        assert (tmp_path / "serial" / child / "final.csv").read_bytes() == \
-               (tmp_path / "par" / child / "final.csv").read_bytes()
+    summary = cmd_sweep(cfg, "eps", [1.0, 0.5, 0.02], tmp_path / "sweep")
+    assert all("error" not in row for row in summary)
+    for child in ("eps_1", "eps_0.5", "eps_0.02"):
+        got = tmp_path / "sweep" / child
+        # the child's report echoes its fully resolved configuration
+        report = (got / "report.txt").read_text()
+        child_cfg = parse_config(report.split("# resolved configuration\n", 1)[1])
+        cmd_simulate(child_cfg, tmp_path / "alone" / child)
+        want = tmp_path / "alone" / child
+        names = sorted(f.name for f in want.iterdir())
+        assert "final.csv" in names and "snapshots.csv" in names
+        assert sorted(f.name for f in got.iterdir()) == names
+        for name in names:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_sweep_records_child_failures_and_continues(tmp_path):
     cfg = parse_config("dx = 0.05\nT = 5\n")
-    summary = cmd_sweep(cfg, "theta", [1e-2, -1.0], tmp_path)
-    assert "error" not in summary[0]
+    # -1 fails its config; nan passes it and fails its run's factorisation
+    summary = cmd_sweep(cfg, "theta", [1e-2, -1.0, float("nan"), 2e-2], tmp_path)
+    assert "error" not in summary[0] and "error" not in summary[3]
     assert "error" in summary[1]
+    assert "infs or NaNs" in summary[2]["error"]
     rows = (tmp_path / "sweep_summary.csv").read_text().splitlines()
-    assert "ok" in rows[1] and "theta" in rows[2]
+    assert "ok" in rows[1] and "theta" in rows[2] and rows[4].endswith(",ok")
 
 
 def test_sweep_validates_arguments(tmp_path):

@@ -10,6 +10,7 @@ from membrane_rd import (
     initial_data,
     reaction,
     run,
+    run_batch,
     steady_state,
     step,
 )
@@ -295,6 +296,72 @@ def test_run_is_bitwise_the_per_species_step(mode, kw, T, stops_early):
     assert [t for t, _, _ in res.snapshots] == [t for t, _, _ in snaps]
     for (_, U1, V1), (_, U2, V2) in zip(res.snapshots, snaps):
         assert np.array_equal(U1, U2) and np.array_equal(V1, V2)
+
+
+THETA_C = 0.3101693089477196
+#: the (theta, k_v) pairs of the acceptance runs
+ACCEPTANCE_CONFIGS = [(THETA_C, 1.0), (7.8e-2, 1.0), (3e-4, 1.0), (3e-4, 0.0),
+                      (3e-4, 10.0), (1e-2, 0.0), (1e-2, 1e-2)]
+
+
+@pytest.mark.parametrize("mode, members, T, opts, stops", [
+    ("nonlinear", [dict(theta=th, k_v=k, dx=1.0 / 200.0) for th, k in ACCEPTANCE_CONFIGS],
+     2.0, dict(steady_stop=False), [200]),
+    # theta_c converges first, then 0.2 and 0.078; 1e-2 runs to T
+    ("nonlinear", [dict(theta=th) for th in (THETA_C, 0.2, 7.8e-2, 1e-2)], 40.0,
+     dict(steady_tol=1e-6), [1844, 2828, 3744, 4000]),
+    # dt = min(1e-2, eps/4): two time steps in one batch, each member's
+    # rate divided by its own dt decides its stop
+    ("nonlinear", [dict(theta=0.5, eps=e) for e in (0.02, 1.0, 0.5)], 20.0,
+     dict(steady_tol=1e-6), [1008, 1822, 1991]),
+    ("nonlinear", [dict(theta=3e-4, k_v=k) for k in (0.0, 1.0, 1e8)], 5.0, {}, [500]),
+    ("linearized", [dict(theta=3e-4, dt=1e-3), dict(theta=7.8e-2, dt=1e-3)], 0.5, {},
+     [500]),
+    ("diffusion", [dict(theta=5.0, k_v=2.0, Theta_scheme=0.5, dt=1e-3),
+                   dict(theta=1e-2, k_v=0.0, Theta_scheme=0.5, dt=1e-3)], 10.0, {},
+     [3833, 10000]),
+    # the middle member blows up at step 10 between two that run on
+    ("nonlinear", [dict(theta=7.8e-2), dict(Theta_scheme=0.0, dt=1e-2),
+                   dict(theta=3e-4)], 1.0, {}, [10, 100]),
+], ids=["acceptance", "stops", "eps_dt", "k_v", "linearized", "diffusion", "blow_up"])
+def test_run_batch_is_bitwise_each_run(mode, members, T, opts, stops):
+    params = [coarse_params(**kw) for kw in members]
+    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    batch = run_batch(params, initials, T, mode, **opts)
+    assert len(batch) == len(params)
+    seen = set()
+    for p, initial, got in zip(params, initials, batch):
+        try:
+            want = run(p, initial, T, mode, **opts)
+        except BlowUpError as exc:
+            assert isinstance(got, BlowUpError)
+            assert (str(got), got.step_index, got.t) == (str(exc), exc.step_index, exc.t)
+            seen.add(got.step_index)
+            continue
+        assert (got.n_steps, got.converged, got.t_final) == \
+               (want.n_steps, want.converged, want.t_final)
+        assert np.array_equal(got.u.values, want.u.values)
+        assert np.array_equal(got.v.values, want.v.values)
+        assert [t for t, _, _ in got.snapshots] == [t for t, _, _ in want.snapshots]
+        for (_, U1, V1), (_, U2, V2) in zip(got.snapshots, want.snapshots):
+            assert np.array_equal(U1, U2) and np.array_equal(V1, V2)
+        assert got.mass_series == want.mass_series
+        seen.add(got.n_steps)
+    assert sorted(seen) == stops
+
+
+def test_run_batch_fails_a_bad_member_alone():
+    p = coarse_params()
+    good = initial_data("paper-fig3", build_grid(p))
+    short = (good[0][:-1], good[1][:-1])
+    first, second, third = run_batch([p, p, p], [good, short, good], 1.0)
+    assert isinstance(second, ValueError) and "does not match" in str(second)
+    want = run(p, good, 1.0)
+    for got in (first, third):
+        assert np.array_equal(got.u.values, want.u.values)
+        assert np.array_equal(got.v.values, want.v.values)
+    with pytest.raises(ValueError, match="one initial state"):
+        run_batch([p, p], [good], 1.0)
 
 
 # ---------------------------------------------------------------------- run

@@ -75,6 +75,24 @@ def test_reaction_exactly_antisymmetric_in_bulk():
     assert np.all(f + g == 0.0)
 
 
+def test_reaction_out_form_is_bitwise_the_allocating_form():
+    from membrane_rd import reaction
+
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-1.0, 3.0, 1000)
+    v = rng.uniform(-1.0, 3.0, 1000)
+    eps = rng.uniform(0.01, 10.0, 1000)  # per-entry constants, as in a batch
+    for e, a in ((0.37, 1.4), (eps, 1.4), (eps, eps / 4.0)):
+        f, g = reaction(u, v, e, a)
+        # the documented formula, written out independently
+        assert np.array_equal(f, (v - a * u * (u - 1.0) ** 2) / e)
+        assert np.array_equal(g, -f)
+        buf, scratch = np.empty_like(u), np.empty_like(u)
+        assert reaction(u, v, e, a, out=(buf, scratch)) is buf
+        assert np.array_equal(buf, f)
+    assert reaction(0.5, 0.2, 0.5, 1.0)[0] == (0.2 - h(0.5, 1.0)) / 0.5
+
+
 @given(st.floats(0, 5), st.floats(0, 5), st.floats(0.01, 10), st.floats(0.01, 2.99))
 def test_reaction_negation_property(u, v, eps, alpha):
     from membrane_rd import reaction
