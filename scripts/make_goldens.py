@@ -43,7 +43,7 @@ def run_cases(dx):
 def summarize(res, dx):
     grid = res.grid
     ss = steady_state(0.8)
-    U, V = res.u.values, res.v.values
+    U, V = res.u, res.v
     var_l, var_r = side_variation(U, grid)
     sc_l, sc_r = sign_changes(U, ss.u_bar, grid)
     return grid, res, {
@@ -85,7 +85,7 @@ def main():
     coarse, fine = run_cases(1.0 / 200.0), run_cases(1.0 / 400.0)
     for (label, kw), (grid_c, res_c, sum_c), (grid_f, res_f, sum_f) in zip(
             CASES.items(), coarse, fine):
-        gap = refinement_gap(grid_c, res_c.u.values, grid_f, res_f.u.values)
+        gap = refinement_gap(grid_c, res_c.u, grid_f, res_f.u)
         print(f"{label}: dx=1/200 jump_u={sum_c['jump_u']:.4g} "
               f"var=({sum_c['supvar_u_l']:.3g},{sum_c['supvar_u_r']:.3g}) "
               f"crossings=({sum_c['crossings_l']},{sum_c['crossings_r']}); "
@@ -99,11 +99,11 @@ def main():
         out["cases"][label] = {
             "params": kw,
             "coarse": {**sum_c,
-                       "u": decimate(grid_c, res_c.u.values),
-                       "v": decimate(grid_c, res_c.v.values)},
+                       "u": decimate(grid_c, res_c.u),
+                       "v": decimate(grid_c, res_c.v)},
             "fine": {**sum_f,
-                     "u": decimate(grid_f, res_f.u.values, 2 * STRIDE),
-                     "v": decimate(grid_f, res_f.v.values, 2 * STRIDE)},
+                     "u": decimate(grid_f, res_f.u, 2 * STRIDE),
+                     "v": decimate(grid_f, res_f.v, 2 * STRIDE)},
             "refinement_gap_u": gap,
         }
     path = Path(__file__).resolve().parents[1] / "tests" / "data" / "goldens.json"

@@ -38,12 +38,9 @@ from .spectrum import (
     eigenfunction,
     eigenvalues,
     project,
-    r_general,
-    r_simple,
 )
 from .fdm import (
     BlowUpError,
-    Field,
     Grid,
     SimResult,
     StepOperator,
@@ -58,12 +55,12 @@ from .fdm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowUpError", "DispersionResult", "EigenMode", "Field", "Grid",
+    "BlowUpError", "DispersionResult", "EigenMode", "Grid",
     "InstabilityRange", "Jacobian", "ModelParams", "PERMEABILITY_INF",
     "SimResult", "StepOperator", "SteadyState", "assemble", "build_grid",
     "conserved_mass", "count_unstable", "discrete_spectrum_oracle",
     "dispersion", "eigenfunction", "eigenvalues", "h", "h_prime",
     "initial_data", "instability_range", "midpoint_grid", "mode_eigenvector",
-    "ode_stability", "p_polynomial", "project", "r_general", "r_simple",
-    "reaction", "run", "run_batch", "steady_state", "step", "theta_critical",
+    "ode_stability", "p_polynomial", "project", "reaction", "run",
+    "run_batch", "steady_state", "step", "theta_critical",
 ]

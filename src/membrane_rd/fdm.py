@@ -92,41 +92,18 @@ class Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class Field:
-    """Discrete state of one species on the two-segment grid."""
-
-    values: np.ndarray
-    species: str
-
-    def check(self, grid: Grid) -> "Field":
-        if self.values.shape != (grid.n_points,):
-            raise ValueError(
-                f"{self.species}: length {self.values.shape} does not match "
-                f"grid ({grid.n_points} points)"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"{self.species}: non-finite entries")
-        return self
-
-
-@dataclass(frozen=True, eq=False)
 class StepOperator:
     """Assembled tridiagonal operator for one species.
 
     ``lhs`` = I + T*C uses banded (3, n) storage: row 0 the super-diagonal
     (shifted right), row 1 the diagonal, row 2 the sub-diagonal (shifted
     left).  ``faces`` are the n-1 face coefficients of C = dt*H (mesh
-    ratios inside the segments, kappa at the membrane face), without the
-    scheme weight.
+    ratios D*dt/dx^2 inside the segments, dt*k/dx at the membrane face),
+    without the scheme weight.
     """
 
-    species: str
     lhs: np.ndarray
     faces: np.ndarray
-    mu_l: float
-    mu_r: float
-    kappa: float
-    theta_weight: float
 
 
 def _checked_dx(params: ModelParams) -> float:
@@ -210,15 +187,9 @@ def assemble(params: ModelParams, species: str) -> StepOperator:
         D_l, D_r, k = params.D_vl, params.D_vr, params.k_v
     else:
         raise ValueError(f"species must be 'u' or 'v', got {species!r}")
-    T = params.Theta_scheme
     faces = _face_coefficients(params, D_l, D_r, k)
-    return StepOperator(
-        species=species, lhs=_banded_from_faces(faces, T), faces=faces,
-        mu_l=D_l * params.dt / params.dx**2,
-        mu_r=D_r * params.dt / params.dx**2,
-        kappa=k * params.dt / params.dx,
-        theta_weight=T,
-    )
+    return StepOperator(lhs=_banded_from_faces(faces, params.Theta_scheme),
+                        faces=faces)
 
 
 MODES = ("nonlinear", "linearized", "diffusion")
@@ -361,8 +332,8 @@ class SimResult:
     params: ModelParams
     grid: Grid
     mode: str
-    u: Field
-    v: Field
+    u: np.ndarray            # final state on the grid
+    v: np.ndarray
     t_final: float
     n_steps: int
     converged: bool
@@ -432,7 +403,7 @@ class _Run:
         i, j = self.grid.membrane_index
         return SimResult(
             params=self.member.params, grid=self.grid, mode=mode,
-            u=Field(U, "u"), v=Field(V, "v"),
+            u=U, v=V,
             t_final=t, n_steps=it, converged=converged,
             jump=(abs(U[j] - U[i]), abs(V[j] - V[i])),
             snapshots=self.snapshots, mass_series=self.mass_series,
@@ -445,8 +416,12 @@ def _start(index: int, params: ModelParams, initial, T: float, mode: str,
     grid = build_grid(params)
     U = np.array(initial[0], dtype=float)
     V = np.array(initial[1], dtype=float)
-    Field(U, "u").check(grid)
-    Field(V, "v").check(grid)
+    for species, values in (("u", U), ("v", V)):
+        if values.shape != (grid.n_points,):
+            raise ValueError(f"{species}: length {values.shape} does not match "
+                             f"grid ({grid.n_points} points)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{species}: non-finite entries")
     operators = (assemble(params, "u"), assemble(params, "v"))
     if mode == "linearized" and linearization is None:
         M = conserved_mass(U, V, grid)

@@ -191,7 +191,7 @@ def test_c05_unstable_mode_counts(paper_ss):
 def single_mode_failures(res, u_bar):
     """Why a final state is not the one-mode membrane jump pattern of z_1."""
     failures = []
-    U, grid = res.u.values, res.grid
+    U, grid = res.u, res.grid
     dev = U - u_bar
     sc_l, sc_r = sign_changes(U, u_bar, grid)
     if sc_l or sc_r:
@@ -213,7 +213,7 @@ def single_mode_failures(res, u_bar):
 def multi_mode_failures(res, u_bar):
     """Why a final state is not a pattern with fronts inside each side."""
     failures = []
-    U, grid = res.u.values, res.grid
+    U, grid = res.u, res.grid
     sc_l, sc_r = sign_changes(U, u_bar, grid)
     if sc_l < 1 or sc_r < 1:
         failures.append(f"interior sign changes ({sc_l}, {sc_r}) vs >= 1 per side")
@@ -226,8 +226,8 @@ def multi_mode_failures(res, u_bar):
 def test_c06_pattern_dichotomy(sim_cache, paper_ss):
     failures = []
     res = sim_cache[(THETA_C, 1.0)]
-    dist = max(np.max(np.abs(res.u.values - paper_ss.u_bar)),
-               np.max(np.abs(res.v.values - paper_ss.v_bar)))
+    dist = max(np.max(np.abs(res.u - paper_ss.u_bar)),
+               np.max(np.abs(res.v - paper_ss.v_bar)))
     if dist > 1e-3:
         failures.append(f"theta_c: sup distance {dist:.2e} vs < 1e-3")
 
@@ -307,7 +307,7 @@ def test_c10_eps_sweep_monotonicity(paper_ss):
             if isinstance(res, Exception):
                 raise res
             ss = steady_state(0.8, eps=eps)
-            counts.append(sign_changes(res.u.values, ss.u_bar, res.grid))
+            counts.append(sign_changes(res.u, ss.u_bar, res.grid))
         for side, label in ((0, "left"), (1, "right")):
             seq = [c[side] for c in counts]
             if any(b < a for a, b in zip(seq, seq[1:])):
@@ -343,7 +343,7 @@ def test_final_profiles_match_frozen_goldens(sim_cache):
         coarse = case["coarse"]
         stride = coarse["u"]["stride"]
         n_l = res.grid.N_l + 1
-        for species, field in (("u", res.u.values), ("v", res.v.values)):
+        for species, field in (("u", res.u), ("v", res.v)):
             left = np.asarray(coarse[species]["left"])
             right = np.asarray(coarse[species]["right"])
             assert np.allclose(field[:n_l:stride], left, atol=1e-11), label

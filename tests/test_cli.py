@@ -22,7 +22,7 @@ def test_empty_config_gives_reference_defaults():
     cfg = parse_config("")
     assert cfg.L == 1.0 and cfg.x_m == 0.5
     assert cfg.dx == pytest.approx(1.0 / 200.0)
-    assert cfg.D_vl == cfg.D_vr == 1.0 and cfg.nu_D == 1.0
+    assert cfg.D_vl == cfg.D_vr == 1.0 and cfg.to_params().nu_D == 1.0
     assert cfg.eps == 1.0 and cfg.alpha == 1.0 and cfg.Theta_scheme == 1.0
     assert cfg.preset == "paper-fig3"
     assert cfg.N_l == cfg.N_r == 99
@@ -51,8 +51,8 @@ def test_parse_rejects_bad_values():
         parse_config("wibble = 3\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("theta = 0.1\ntheta = 0.2\n")
-    with pytest.raises(ConfigError, match="nu_D"):
-        parse_config("nu_D = 2\n")
+    with pytest.raises(ConfigError, match="nu_D: unknown key"):
+        parse_config("nu_D = 2\n")  # derived from D_vr/D_vl, not a key
     with pytest.raises(ConfigError, match="N_l"):
         parse_config("N_l = 49\n")
     with pytest.raises(ConfigError, match="T"):
@@ -60,8 +60,10 @@ def test_parse_rejects_bad_values():
 
 
 def test_parse_accepts_two_diffusivity_domains():
-    cfg = parse_config("D_vl = 0.1\nD_vr = 0.01\nnu_D = 0.1\n")
-    assert cfg.nu_D == pytest.approx(0.1)
+    cfg = parse_config("D_vl = 0.1\nD_vr = 0.01\n")
+    assert cfg.to_params().nu_D == pytest.approx(0.1)
+    # the spectrum of a two-diffusivity domain is solved, not refused
+    assert cmd_analyze(cfg, None).modes[1].eta > 0.0
 
 
 def test_roundtrip_is_identity():

@@ -51,10 +51,15 @@ def dense_from_faces(faces):
     return C
 
 
-def explicit_matrix(op):
+def explicit_matrix(op, Theta):
     """The explicit theta-method matrix I - (1-T)*C, dense."""
     C = dense_from_faces(op.faces)
-    return np.eye(C.shape[0]) - (1.0 - op.theta_weight) * C
+    return np.eye(C.shape[0]) - (1.0 - Theta) * C
+
+
+def face_ratios(op, p):
+    """(mu_l, mu_r, kappa): the faces inside each segment and at the membrane."""
+    return op.faces[0], op.faces[-1], op.faces[p.N_l]
 
 
 def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8):
@@ -149,27 +154,32 @@ def test_midpoint_grid_tiles_segments():
 def test_assemble_membrane_rows_fully_implicit():
     p = coarse_params(Theta_scheme=1.0)
     op = assemble(p, "u")
+    mu_l, mu_r, kappa = face_ratios(op, p)
+    assert mu_l == pytest.approx(p.D_ul * p.dt / p.dx**2, rel=1e-14)
+    assert mu_r == pytest.approx(p.D_ur * p.dt / p.dx**2, rel=1e-14)
+    assert kappa == pytest.approx(p.k_u * p.dt / p.dx, rel=1e-14)
     i = p.N_l  # membrane-left row
-    assert op.lhs[1, i] == pytest.approx(1.0 + op.mu_l + op.kappa, rel=1e-14)
-    assert op.lhs[2, i - 1] == pytest.approx(-op.mu_l, rel=1e-14)
-    assert op.lhs[0, i + 1] == pytest.approx(-op.kappa, rel=1e-14)
+    assert op.lhs[1, i] == pytest.approx(1.0 + mu_l + kappa, rel=1e-14)
+    assert op.lhs[2, i - 1] == pytest.approx(-mu_l, rel=1e-14)
+    assert op.lhs[0, i + 1] == pytest.approx(-kappa, rel=1e-14)
     j = i + 1  # membrane-right row
-    assert op.lhs[1, j] == pytest.approx(1.0 + op.mu_r + op.kappa, rel=1e-14)
-    assert op.lhs[2, j - 1] == pytest.approx(-op.kappa, rel=1e-14)
-    assert op.lhs[0, j + 1] == pytest.approx(-op.mu_r, rel=1e-14)
+    assert op.lhs[1, j] == pytest.approx(1.0 + mu_r + kappa, rel=1e-14)
+    assert op.lhs[2, j - 1] == pytest.approx(-kappa, rel=1e-14)
+    assert op.lhs[0, j + 1] == pytest.approx(-mu_r, rel=1e-14)
     # fully implicit: the explicit matrix collapses to the identity
-    assert np.array_equal(explicit_matrix(op), np.eye(p.N_l + p.N_r + 2))
+    assert np.array_equal(explicit_matrix(op, 1.0), np.eye(p.N_l + p.N_r + 2))
 
 
 def test_assemble_sealed_membrane_decouples_blocks():
     p = coarse_params(k_v=0.0)
     for species in ("u", "v"):
         op = assemble(p, species)
+        mu_l, _, kappa = face_ratios(op, p)
         i = p.N_l
-        assert op.kappa == 0.0
+        assert kappa == 0.0
         assert op.lhs[0, i + 1] == 0.0  # no coupling across the membrane
         assert op.lhs[2, i] == 0.0
-        assert op.lhs[1, i] == pytest.approx(1.0 + op.mu_l)
+        assert op.lhs[1, i] == pytest.approx(1.0 + mu_l)
 
 
 @pytest.mark.parametrize("Theta", [0.0, 0.37, 0.5, 1.0])
@@ -180,7 +190,7 @@ def test_assemble_constant_preservation(Theta, k_v):
         op = assemble(p, species)
         n = op.lhs.shape[1]
         ones = np.ones(n)
-        lhs, rhs = dense_from_banded(op.lhs), explicit_matrix(op)
+        lhs, rhs = dense_from_banded(op.lhs), explicit_matrix(op, Theta)
         # the banded lhs is I + T*C for the C of the faces
         assert np.allclose(lhs, np.eye(n) + Theta * dense_from_faces(op.faces),
                            rtol=0.0, atol=1e-14)
@@ -193,8 +203,9 @@ def test_assemble_constant_preservation(Theta, k_v):
 def test_assemble_species_coefficients_differ():
     p = coarse_params(theta=0.1)
     op_u, op_v = assemble(p, "u"), assemble(p, "v")
-    assert op_u.mu_l == pytest.approx(p.theta * op_v.mu_l, rel=1e-14)
-    assert op_u.kappa == pytest.approx(p.theta * op_v.kappa, rel=1e-14)
+    (mu_u, _, kappa_u), (mu_v, _, kappa_v) = (face_ratios(op, p) for op in (op_u, op_v))
+    assert mu_u == pytest.approx(p.theta * mu_v, rel=1e-14)
+    assert kappa_u == pytest.approx(p.theta * kappa_v, rel=1e-14)
     with pytest.raises(ValueError):
         assemble(p, "w")
 
@@ -236,9 +247,9 @@ def test_step_matches_matrix_form():
     U1, V1 = step((u0, v0), ops, p)
     f, g = reaction(u0, v0, p.eps, p.alpha)
     U2 = np.linalg.solve(dense_from_banded(ops[0].lhs),
-                         explicit_matrix(ops[0]) @ u0 + p.dt * f)
+                         explicit_matrix(ops[0], p.Theta_scheme) @ u0 + p.dt * f)
     V2 = np.linalg.solve(dense_from_banded(ops[1].lhs),
-                         explicit_matrix(ops[1]) @ v0 + p.dt * g)
+                         explicit_matrix(ops[1], p.Theta_scheme) @ v0 + p.dt * g)
     assert np.max(np.abs(U1 - U2)) < 1e-11
     assert np.max(np.abs(V1 - V2)) < 1e-11
 
@@ -292,7 +303,7 @@ def test_run_is_bitwise_the_per_species_step(mode, kw, T, stops_early):
     res = run(p, (u0, v0), T, mode=mode)
     assert (res.n_steps, res.converged) == (n_steps, converged)
     assert converged == stops_early and (n_steps < T / p.dt) == stops_early
-    assert np.array_equal(res.u.values, U) and np.array_equal(res.v.values, V)
+    assert np.array_equal(res.u, U) and np.array_equal(res.v, V)
     assert [t for t, _, _ in res.snapshots] == [t for t, _, _ in snaps]
     for (_, U1, V1), (_, U2, V2) in zip(res.snapshots, snaps):
         assert np.array_equal(U1, U2) and np.array_equal(V1, V2)
@@ -340,8 +351,8 @@ def test_run_batch_is_bitwise_each_run(mode, members, T, opts, stops):
             continue
         assert (got.n_steps, got.converged, got.t_final) == \
                (want.n_steps, want.converged, want.t_final)
-        assert np.array_equal(got.u.values, want.u.values)
-        assert np.array_equal(got.v.values, want.v.values)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
         assert [t for t, _, _ in got.snapshots] == [t for t, _, _ in want.snapshots]
         for (_, U1, V1), (_, U2, V2) in zip(got.snapshots, want.snapshots):
             assert np.array_equal(U1, U2) and np.array_equal(V1, V2)
@@ -358,8 +369,8 @@ def test_run_batch_fails_a_bad_member_alone():
     assert isinstance(second, ValueError) and "does not match" in str(second)
     want = run(p, good, 1.0)
     for got in (first, third):
-        assert np.array_equal(got.u.values, want.u.values)
-        assert np.array_equal(got.v.values, want.v.values)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
     with pytest.raises(ValueError, match="one initial state"):
         run_batch([p, p], [good], 1.0)
 
@@ -374,8 +385,8 @@ def test_run_converges_to_equilibrium_at_critical_ratio(paper_steady):
     res = run(p, (u0, v0), 1000.0)
     assert res.converged
     assert res.t_final < 1000.0
-    assert np.max(np.abs(res.u.values - paper_steady.u_bar)) < 1e-3
-    assert np.max(np.abs(res.v.values - paper_steady.v_bar)) < 1e-3
+    assert np.max(np.abs(res.u - paper_steady.u_bar)) < 1e-3
+    assert np.max(np.abs(res.v - paper_steady.v_bar)) < 1e-3
     assert res.jump[0] < 1e-6 and res.jump[1] < 1e-6
 
 
@@ -386,7 +397,7 @@ def test_run_sealed_membrane_below_first_mode_converges(paper_steady):
     u0, v0 = initial_data("paper-fig3", grid)
     res = run(p, (u0, v0), 1000.0)
     assert res.converged
-    assert np.max(np.abs(res.u.values - paper_steady.u_bar)) < 1e-3
+    assert np.max(np.abs(res.u - paper_steady.u_bar)) < 1e-3
 
 
 @pytest.mark.slow
@@ -396,10 +407,10 @@ def test_run_single_mode_regime_leaves_a_membrane_jump(paper_steady):
     grid = build_grid(p)
     u0, v0 = initial_data("paper-fig3", grid)
     res = run(p, (u0, v0), 1000.0)
-    var_l, var_r = side_variation(res.u.values, res.grid)
+    var_l, var_r = side_variation(res.u, res.grid)
     assert res.jump[0] > 10.0 * max(var_l, var_r) / 3.0
     assert res.jump[0] > 0.02
-    sd = np.max(np.abs(res.u.values - paper_steady.u_bar))
+    sd = np.max(np.abs(res.u - paper_steady.u_bar))
     assert sd > 1e-2  # did not fall back to the equilibrium
 
 
@@ -439,8 +450,8 @@ def test_run_fully_implicit_diffusion_is_unconditionally_stable(dt):
     grid = build_grid(p)
     u0, v0 = initial_data("paper-fig3", grid)
     res = run(p, (u0, v0), 20.0 * dt, mode="diffusion", steady_stop=False)
-    assert np.all(np.isfinite(res.u.values))
-    assert np.max(np.abs(res.u.values)) < 1.0
+    assert np.all(np.isfinite(res.u))
+    assert np.max(np.abs(res.u)) < 1.0
 
 
 def test_run_mass_conserved_across_regimes():
@@ -494,7 +505,7 @@ def test_kedem_katchalsky_residual_is_first_order():
         grid = build_grid(p)
         u0, v0 = initial_data("paper-fig3", grid)
         res = run(p, (u0, v0), 200.0, steady_stop=False)
-        dl, dr = kedem_katchalsky_residual(res.u.values, grid, p.D_ul,
+        dl, dr = kedem_katchalsky_residual(res.u, grid, p.D_ul,
                                            p.D_ur, p.k_u)
         defects.append(max(dl, dr))
     assert defects[0] < 0.05
@@ -511,7 +522,7 @@ def test_profile_refinement_is_first_order():
         u0, v0 = initial_data("paper-fig3", grid)
         res = run(p, (u0, v0), 2000.0)
         assert res.converged
-        finals[dx] = (grid.centers, res.u.values)
+        finals[dx] = (grid.centers, res.u)
     xc, uc = finals[1.0 / 100.0]
     xf, uf = finals[1.0 / 200.0]
     # compare at shared abscissae per side

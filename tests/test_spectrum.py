@@ -12,102 +12,79 @@ from membrane_rd import (
     eigenvalues,
     instability_range,
     project,
-    r_general,
-    r_simple,
     steady_state,
 )
-from membrane_rd.spectrum import TangentPoleError, mode_values
+from membrane_rd.spectrum import determinant, mode_values
 
 from conftest import make_params, q_root_oracle
 
 
-# ------------------------------------------------------------ root functions
-
-def test_r_general_halves_r_simple_when_sides_match():
-    # algebra: equal tangents collapse the general form to r_simple/2
-    p = make_params(k_v=0.7, D_vl=0.3, D_vr=0.3)
-    rng = np.random.default_rng(5)
-    count = 0
-    while count < 10_000:
-        xi = 10.0 ** rng.uniform(-3, 3)
-        try:
-            rg = r_general(xi, p)
-            rs = r_simple(xi, p)
-        except TangentPoleError:
-            continue
-        assert 2.0 * rg == pytest.approx(rs, rel=1e-12, abs=1e-12)
-        count += 1
+def transparent_values(params, X):
+    """Sealed values below X shared by both halves: the transparent modes."""
+    spans = (params.x_m, params.L - params.x_m)
+    sides = [{round(D * (j * math.pi / span) ** 2, 6)
+              for j in range(1, int(span * math.sqrt(X / D) / math.pi) + 1)}
+             for span, D in zip(spans, (params.D_vl, params.D_vr))]
+    return sorted(v for v in sides[0] & sides[1] if v < X)
 
 
-def test_r_simple_consistent_with_q_form():
-    # xi |-> xi*tan(xi/2) - 2 k/D and eta |-> sqrt(eta)tan(sqrt(eta)/2) - 2k/sqrt(D)
-    # share roots through xi = sqrt(eta/D); checked on all tabulated ratios
+# ------------------------------------------------------------ root function
+
+def test_determinant_vanishes_at_the_scanned_roots():
+    # the q-form xi tan(xi/2) = 2K, scanned on its own, has its roots at
+    # eta = xi^2 for a midpoint membrane; the determinant vanishes there
     for K in (0.5, 5.0):
         p = make_params(k_v=K)
-        for xi_root in q_root_oracle(K, 4):
-            eta = xi_root**2
-            assert abs(r_simple(eta, p)) < 1e-8 * (1 + 2 * K)
+        for xi in q_root_oracle(K, 4):
+            slope = abs(determinant(xi**2 * (1 + 1e-6), p)
+                        - determinant(xi**2 * (1 - 1e-6), p)) / 2e-6
+            assert abs(determinant(xi**2, p)) < 1e-8 * slope
 
 
-def test_r_simple_small_eigenvalue_residual():
-    # first root for a weakly permeable membrane sits near eta = 0.04
-    p = make_params(k_v=1e-2, theta=1e-2)
-    assert abs(r_simple(0.04, p)) < 1e-3
+@pytest.mark.parametrize("k_v", [1e-2, 1.0, 7.0, 1e8])
+def test_off_centre_eigenvalues_are_the_determinant_roots(k_v):
+    p = make_params(k_v=k_v, x_m=0.3)
+    for m in eigenvalues(p, 6)[1:]:
+        h = 1e-7 * m.eta
+        assert determinant(m.eta - h, p) * determinant(m.eta + h, p) < 0.0
 
 
-def test_r_simple_sealed_membrane_roots():
-    p = make_params(k_v=0.0)
-    for n in (1, 2, 3):
-        eta = (2.0 * n * math.pi) ** 2
-        assert abs(r_simple(eta, p)) < 1e-9
+def test_off_centre_eigenvalues_and_the_discrete_oracle():
+    p = make_params(k_v=1.0, x_m=0.3)
+    etas = [m.eta for m in eigenvalues(p, 2)[1:]]
+    assert etas == pytest.approx([3.482861, 22.946399], abs=1e-6)
+    # the stepper's own operator converges to them at first order: its
+    # error halves with dx (dx = x_m/N = 1/200, 1/400, 1/800)
+    errs = []
+    for N in (60, 120, 240):
+        vals = discrete_spectrum_oracle(p, N, n_max=6)
+        errs.append([abs(vals[np.argmin(np.abs(vals - e))] - e) for e in etas])
+    errs = np.array(errs)
+    assert errs[0, 0] == pytest.approx(1.24e-2, rel=0.02)
+    ratios = errs[:-1] / errs[1:]
+    assert np.all((ratios > 1.8) & (ratios < 2.2)), ratios
 
 
-def test_r_functions_signal_pole_proximity():
-    p = make_params()
-    pole_eta = math.pi**2  # sqrt(eta)*L/2 = pi/2
-    with pytest.raises(TangentPoleError):
-        r_simple(pole_eta, p)
-    with pytest.raises(TangentPoleError):
-        r_general(pole_eta, p)
-
-
-def test_r_general_roots_solve_the_matching_conditions():
-    # two-diffusivity case: every upward sign change of r_general is a
-    # genuine eigenvalue of the membrane problem (checked by substituting
-    # the piecewise cosine into both transmission conditions)
-    p = ModelParams(D_vl=1e-1, D_vr=1e-2, k_v=1e-4, theta=0.1)
-    etas = np.linspace(1e-4, 3.0, 600_001)
-    vals = np.full_like(etas, np.nan)
-    for i, e in enumerate(etas):
-        try:
-            vals[i] = r_general(e, p)
-        except TangentPoleError:
-            pass
-    ok = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
-    up = np.nonzero(ok & (vals[:-1] < 0) & (vals[1:] >= 0))[0]
-    assert len(up) >= 3
-    for i in up[:3]:
-        lo, hi = etas[i], etas[i + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            try:
-                v = r_general(mid, p)
-            except TangentPoleError:
-                break
-            if v < 0:
-                lo = mid
-            else:
-                hi = mid
-        eta = 0.5 * (lo + hi)
-        a = math.sqrt(eta / p.D_vl)
-        b = math.sqrt(eta / p.D_vr)
-        C1 = -math.sqrt(p.nu_D) * math.sin(b * p.L / 2) / math.sin(a * p.L / 2)
-        zl, zr = C1 * math.cos(a * p.x_m), math.cos(b * (p.x_m - p.L))
-        dzl = -C1 * a * math.sin(a * p.x_m)
-        dzr = -b * math.sin(b * (p.x_m - p.L))
-        flux_match = p.D_vl * dzl - p.D_vr * dzr
-        kk = p.D_vl * dzl - p.k_v * (zr - zl)
-        assert abs(flux_match) < 1e-6 and abs(kk) < 1e-6
+def test_two_diffusivity_modes_satisfy_both_matching_conditions():
+    # nu_D = 0.1: each mode's own amplitudes A, B solve both membrane
+    # conditions, and its eigenvalue sits between the sealed values
+    p = ModelParams(D_vl=1.0, D_vr=0.1, k_v=0.7, theta=0.1)
+    modes = eigenvalues(p, 12)
+    for m in modes[1:]:
+        zl = m.A * math.cos(m.a_n * p.x_m)
+        zr = m.B * math.cos(m.b_n * (p.x_m - p.L))
+        flux_l = -p.D_vl * m.A * m.a_n * math.sin(m.a_n * p.x_m)
+        flux_r = -p.D_vr * m.B * m.b_n * math.sin(m.b_n * (p.x_m - p.L))
+        scale = p.D_vl * abs(m.A) * m.a_n + p.D_vr * abs(m.B) * m.b_n
+        for flux in (flux_l, flux_r):
+            assert abs(flux - p.k_v * (zr - zl)) < 1e-10 * scale
+    etas = np.array([m.eta for m in modes])
+    assert np.all(np.diff(etas) > 0.0)
+    # the discrete operator of the stepper carries the same values
+    vals = discrete_spectrum_oracle(p, 400, n_max=40)
+    for m in modes[1:5]:
+        nearest = vals[np.argmin(np.abs(vals - m.eta))]
+        assert abs(nearest - m.eta) < 0.02 * m.eta
 
 
 # ----------------------------------------------------------- eigenvalue sets
@@ -175,26 +152,27 @@ def test_eigenvalue_continuity_in_k():
 
 
 def test_bracket_count_matches_sign_change_scan():
-    # number of roots below X from bracketing == upward sign changes of
-    # r_simple on a fine scan (downward changes are the tangent poles)
-    p = make_params(k_v=3.0)
-    X = 300.0
-    modes = [m for m in eigenvalues(p, 12)[1:] if m.eta < X]
-    etas = np.linspace(1e-6, X, 400_001)
-    vals = np.full_like(etas, np.nan)
-    for i, e in enumerate(etas):
-        try:
-            vals[i] = r_simple(e, p)
-        except TangentPoleError:
-            pass
-    ok = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
-    ups = int(np.sum(ok & (vals[:-1] < 0) & (vals[1:] >= 0)))
-    assert ups == len(modes)
+    # the sign changes of the determinant on a fine scan below X are the
+    # listed modes and the transparent modes (shared sealed values), which
+    # the family leaves out; a sealed membrane has det = -p_l p_r, which
+    # changes sign at each single sealed value and has a double zero at a
+    # shared one (listed once)
+    for x_m, k_v, X in ((0.5, 3.0, 300.0), (0.3, 1.0, 1500.0),
+                        (0.5, 1e8, 300.0), (0.3, 0.0, 1500.0)):
+        p = make_params(k_v=k_v, x_m=x_m)
+        vals = determinant(np.linspace(1e-6, X, 400_001), p)
+        changes = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+        modes = [m for m in eigenvalues(p, 40)[1:] if 0.0 < m.eta < X]
+        shared = transparent_values(p, X)
+        assert len(shared) >= 1
+        expect = len(modes) + (-1 if k_v == 0.0 else 1) * len(shared)
+        assert changes == expect, (x_m, k_v)
 
 
-def test_eigenvalues_requires_matching_diffusivities():
-    with pytest.raises(ValueError, match="nu_D"):
-        eigenvalues(ModelParams(D_vl=1.0, D_vr=2.0, theta=0.1), 3)
+def test_a_shorter_list_is_a_prefix():
+    # each root stops on its own, so count_unstable may take a prefix
+    for p in (make_params(k_v=1.0, x_m=0.3), make_params(k_v=10.0, D_vr=0.3)):
+        assert eigenvalues(p, 40)[:9] == eigenvalues(p, 8)
 
 
 def test_lambda_is_theta_scaled(paper_jac):
@@ -225,12 +203,30 @@ def test_eigenfunction_satisfies_membrane_conditions():
     for m in eigenvalues(p, 4)[1:]:
         zl = eigenfunction(m, p.x_m, "l")
         zr = eigenfunction(m, p.x_m, "r")
-        dzl = -m.C1 * m.a_n * math.sin(m.a_n * p.x_m) / m.norm
-        dzr = -m.b_n * math.sin(m.b_n * (p.x_m - p.L)) / m.norm
+        dzl = -m.A * m.a_n * math.sin(m.a_n * p.x_m)
+        dzr = -m.B * m.b_n * math.sin(m.b_n * (p.x_m - p.L))
         assert abs(p.D_vl * dzl - p.k_v * (zr - zl)) < 1e-8
         assert abs(dzl - dzr) < 1e-12  # flux continuity for nu_D = 1
         # zero flux on the outer boundary by construction
-        assert abs(-m.C1 * m.a_n * math.sin(0.0)) == 0.0
+        assert abs(-m.A * m.a_n * math.sin(0.0)) == 0.0
+
+
+def test_off_centre_sealed_modes_live_on_one_side():
+    # x_m = 0.3: a sealed value of one half only is a mode of that half,
+    # zero on the other; orthonormal like the rest
+    from membrane_rd import midpoint_grid
+
+    p = make_params(k_v=0.0, x_m=0.3, dx=1.0 / 1000.0)
+    modes = eigenvalues(p, 6)
+    left_only = [m for m in modes if m.eta > 0 and m.B == 0.0]
+    right_only = [m for m in modes if m.eta > 0 and m.A == 0.0]
+    assert left_only and right_only
+    for m in left_only:  # a left sealed value D_vl (j pi/x_m)^2
+        j = round(m.a_n * p.x_m / math.pi)
+        assert m.eta == pytest.approx(p.D_vl * (j * math.pi / p.x_m) ** 2)
+    grid = midpoint_grid(p)
+    Z = np.stack([mode_values(m, grid) for m in modes])
+    assert np.max(np.abs(grid.dx * (Z @ Z.T) - np.eye(len(modes)))) < 1e-4
 
 
 def test_transparent_membrane_restores_continuity():
@@ -381,6 +377,20 @@ def test_count_is_finite_for_every_regime(paper_jac):
             rng = instability_range(theta, paper_jac)
             count, etas = count_unstable(rng, p)
             assert count == len(etas) < 200
+
+
+def test_mode_cap_reaches_every_unstable_mode(paper_jac):
+    # the cap is arithmetic; a long list counts without it
+    for geometry in ({}, {"x_m": 0.3}, {"D_vr": 0.1}, {"x_m": 0.3, "D_vr": 3.0}):
+        for theta in (1e-2, 3e-4, 1e-5):
+            for k_v in (0.0, 1.0, 1e8):
+                p = make_params(theta=theta, k_v=k_v, **geometry)
+                rng = instability_range(theta, paper_jac)
+                modes = eigenvalues(p, 600)
+                assert modes[-1].eta > rng.eta_plus
+                etas = [m.eta for m in modes
+                        if m.eta > 0.0 and rng.eta_minus < m.eta < rng.eta_plus]
+                assert count_unstable(rng, p)[1] == etas, (geometry, theta, k_v)
 
 
 # -------------------------------------------------------------- discrete oracle
