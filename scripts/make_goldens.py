@@ -63,19 +63,18 @@ def summarize(res, dx):
 
 
 def decimate(grid, values, stride=STRIDE):
-    n_l = grid.N_l + 1
     return {
         "stride": stride,
-        "left": values[:n_l:stride].tolist(),
-        "right": values[n_l::stride].tolist(),
+        "left": values[grid.left][::stride].tolist(),
+        "right": values[grid.right][::stride].tolist(),
     }
 
 
 def refinement_gap(grid_c, u_c, grid_f, u_f):
-    n_c, n_f = grid_c.N_l + 1, grid_f.N_l + 1
     on_f = np.concatenate([
-        np.interp(grid_f.centers[:n_f], grid_c.centers[:n_c], u_c[:n_c]),
-        np.interp(grid_f.centers[n_f:], grid_c.centers[n_c:], u_c[n_c:]),
+        np.interp(grid_f.centers[side_f], grid_c.centers[side_c], u_c[side_c])
+        for side_c, side_f in ((grid_c.left, grid_f.left),
+                               (grid_c.right, grid_f.right))
     ])
     return float(np.max(np.abs(on_f - u_f)))
 

@@ -34,23 +34,14 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run description; parse -> serialize -> parse is the identity."""
+class RunConfig(ModelParams):
+    """A problem and how to run it; parse -> serialize -> parse is the identity.
 
-    L: float = 1.0
-    x_m: float = 0.5
-    D_vl: float = 1.0
-    D_vr: float = 1.0
-    theta: float = 7.8e-2
-    k_u: float | None = None
-    k_v: float = 1.0
-    eps: float = 1.0
-    alpha: float = 1.0
-    Theta_scheme: float = 1.0
-    dx: float = 1.0 / 200.0
-    dt: float | None = None
-    N_l: int | None = None
-    N_r: int | None = None
+    The problem keys are the `ModelParams` fields, validated and resolved
+    (k_u, dt, N_l, N_r) when the config is built; the keys added here say
+    how to start, run and write it.
+    """
+
     preset: str = "paper-fig3"
     preset_mode: int = 1
     preset_amplitude: float = 1e-3
@@ -61,17 +52,14 @@ class RunConfig:
     out_dir: str = "out"
     command: str = ""
 
-    def to_params(self) -> ModelParams:
+    def __post_init__(self):
         try:
-            return ModelParams(
-                L=self.L, x_m=self.x_m, D_vl=self.D_vl, D_vr=self.D_vr,
-                theta=self.theta, k_v=self.k_v, k_u=self.k_u, eps=self.eps,
-                alpha=self.alpha, Theta_scheme=self.Theta_scheme, dx=self.dx,
-                dt=self.dt, N_l=self.N_l, N_r=self.N_r,
-            )
+            super().__post_init__()
         except ValueError as exc:
-            key = str(exc).split(":", 1)[0]
-            raise ConfigError(key, str(exc).split(":", 1)[-1].strip()) from None
+            key, _, message = str(exc).partition(":")
+            raise ConfigError(key, message.strip()) from None
+        if not self.T > 0:
+            raise ConfigError("T", "final time must be positive")
 
 
 # each key parses as its RunConfig field's type (without the None of an open field)
@@ -80,12 +68,6 @@ _KEY_TYPES = {
     for name, hint in typing.get_type_hints(RunConfig).items()
 }
 _TYPE_NAMES = {int: "an integer", float: "a number"}
-
-
-def _resolve(cfg: RunConfig) -> RunConfig:
-    params = cfg.to_params()  # validates and derives the open fields
-    return replace(cfg, k_u=params.k_u, dt=params.dt, N_l=params.N_l,
-                   N_r=params.N_r)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -108,9 +90,7 @@ def parse_config(text: str) -> RunConfig:
             values[key] = kind(val)
         except ValueError:
             raise ConfigError(key, f"cannot parse {val!r} as {_TYPE_NAMES[kind]}") from None
-    if values.get("T", 1.0) <= 0:
-        raise ConfigError("T", "final time must be positive")
-    return _resolve(RunConfig(**values))
+    return RunConfig(**values)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -133,9 +113,9 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _initial_state(cfg: RunConfig, params: ModelParams, grid):
+def _initial_state(cfg: RunConfig, grid):
     return initial_data(
-        cfg.preset, grid, params,
+        cfg.preset, grid, cfg,
         mass=cfg.mass, mode=cfg.preset_mode, amplitude=cfg.preset_amplitude,
         noise_amplitude=cfg.noise_amplitude, seed=cfg.seed,
     )
@@ -160,22 +140,21 @@ class AnalysisReport:
 
 
 def analyze(cfg: RunConfig) -> AnalysisReport:
-    params = cfg.to_params()
-    grid = fdm.build_grid(params)
-    u0, v0 = _initial_state(cfg, params, grid)
+    grid = fdm.build_grid(cfg)
+    u0, v0 = _initial_state(cfg, grid)
     M = conserved_mass(u0, v0, grid)
-    ss = steady_state(M, params.eps, params.alpha)
+    ss = steady_state(M, cfg.eps, cfg.alpha)
     ode = stability.ode_stability(ss.jac)
-    rng = stability.instability_range(params.theta, ss.jac)
+    rng = stability.instability_range(cfg.theta, ss.jac)
     # one spectrum serves the count and the listed modes (at most cap + 2)
-    n_cap = 0 if rng.is_empty else spectrum.unstable_mode_cap(rng, params)
-    modes = spectrum.eigenvalues(params, max(8, n_cap + 2))
-    count, hits = spectrum.count_unstable(rng, params, with_modes=True, modes=modes)
+    n_cap = 0 if rng.is_empty else spectrum.unstable_mode_cap(rng, cfg)
+    modes = spectrum.eigenvalues(cfg, max(8, n_cap + 2))
+    count, hits = spectrum.count_unstable(rng, cfg, with_modes=True, modes=modes)
     n_show = max(8, (hits[-1].n + 2) if hits else 0)
     modes = modes[:n_show + 1]
     dominant = None
     if hits:
-        growth = [stability.dispersion(m.eta, params.theta, ss.jac).max_re
+        growth = [stability.dispersion(m.eta, cfg.theta, ss.jac).max_re
                   for m in hits]
         dominant = hits[int(np.argmax(growth))]
     verdict = (f"pattern expected ({count} unstable modes)" if count
@@ -239,10 +218,9 @@ def cmd_analyze(cfg: RunConfig, out_dir: str | Path | None = None) -> AnalysisRe
 
 def _write_profile_csv(path: Path, grid, U, V):
     rows = ["x,side,u,v"]
-    n_l = grid.N_l + 1
-    for i in range(grid.n_points):
-        side = "l" if i < n_l else "r"
-        rows.append(f"{_g(grid.centers[i])},{side},{_g(U[i])},{_g(V[i])}")
+    for side, part in (("l", grid.left), ("r", grid.right)):
+        for x, u, v in zip(grid.centers[part], U[part], V[part]):
+            rows.append(f"{_g(x)},{side},{_g(u)},{_g(v)}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -287,10 +265,8 @@ def _svg_profile(path: Path, grid, values, label: str):
 
 
 def simulate(cfg: RunConfig) -> fdm.SimResult:
-    params = cfg.to_params()
-    grid = fdm.build_grid(params)
-    u0, v0 = _initial_state(cfg, params, grid)
-    return fdm.run(params, (u0, v0), cfg.T)
+    u0, v0 = _initial_state(cfg, fdm.build_grid(cfg))
+    return fdm.run(cfg, (u0, v0), cfg.T)
 
 
 def _format_sim_report(cfg: RunConfig, res: fdm.SimResult) -> str:
@@ -340,8 +316,7 @@ def _write_simulation(cfg: RunConfig, res: fdm.SimResult, out_dir: str | Path,
 # ------------------------------------------------------------------ spectrum
 
 def cmd_spectrum(cfg: RunConfig, n_max: int, out_dir: str | Path | None = None) -> list:
-    params = cfg.to_params()
-    modes = spectrum.eigenvalues(params, n_max)
+    modes = spectrum.eigenvalues(cfg, n_max)
     rows = ["n,eta,lambda,xi_over_pi,residual,degenerate_zero"]
     for m in modes:
         rows.append(
@@ -364,12 +339,10 @@ _SWEEP_PARAMS = ("theta", "k_v", "eps")
 
 
 def _sweep_child(cfg: RunConfig, param: str, value: float) -> RunConfig:
-    # the coupled regime k_u = theta*k_v is re-derived for every child
-    child = replace(cfg, **{param: value}, k_u=None, command="simulate",
-                    out_dir=str(Path(cfg.out_dir) / f"{param}_{value:g}"))
-    if param == "eps":
-        child = replace(child, dt=None)  # dt cap depends on eps
-    return _resolve(child)
+    # the coupled regime k_u = theta*k_v, and for eps the dt cap, are re-derived
+    return replace(cfg, **{param: value}, k_u=None,
+                   dt=None if param == "eps" else cfg.dt, command="simulate",
+                   out_dir=str(Path(cfg.out_dir) / f"{param}_{value:g}"))
 
 
 def _child_summary(rep: AnalysisReport, res: fdm.SimResult) -> dict:
@@ -403,22 +376,21 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
     base = replace(cfg, out_dir=str(out_dir)) if out_dir is not None else cfg
 
     results = [None] * len(values)
-    ready = []  # (row, child config, analysis, params, initial state)
+    ready = []  # (row, child config, analysis, initial state)
     for row, value in enumerate(values):
         try:
             child = _sweep_child(base, param, value)
             rep = analyze(child)
-            params = child.to_params()
-            initial = _initial_state(child, params, fdm.build_grid(params))
+            initial = _initial_state(child, fdm.build_grid(child))
         except Exception as exc:  # failures recorded per-row, sweep continues
             results[row] = _failure(exc)
             continue
-        ready.append((row, child, rep, params, initial))
+        ready.append((row, child, rep, initial))
     try:
-        runs = fdm.run_batch([r[3] for r in ready], [r[4] for r in ready], base.T)
+        runs = fdm.run_batch([r[1] for r in ready], [r[3] for r in ready], base.T)
     except Exception as exc:  # an error common to the batch fails every child
         runs = [exc] * len(ready)
-    for (row, child, rep, _, _), res in zip(ready, runs):
+    for (row, child, rep, _), res in zip(ready, runs):
         if isinstance(res, Exception):
             results[row] = _failure(res)
             continue

@@ -106,35 +106,26 @@ class StepOperator:
     faces: np.ndarray
 
 
-def _checked_dx(params: ModelParams) -> float:
-    N_l, N_r = params.N_l, params.N_r
-    if N_l < 2 or N_r < 2:
-        raise ValueError("need at least 2 cells per side")
-    dx_l = params.x_m / (N_l + 1)
-    dx_r = (params.L - params.x_m) / (N_r + 1)
-    if abs(dx_l - dx_r) > 1e-12 * max(dx_l, dx_r):
-        raise ValueError(
-            f"segment steps disagree: (x_m)/(N_l+1) = {dx_l!r} but "
-            f"(L-x_m)/(N_r+1) = {dx_r!r}"
-        )
-    return dx_l
+def _grid(params: ModelParams, offset_l: float, offset_r: float) -> Grid:
+    # point i of a side sits at the side's start + (i + offset)*dx, at the
+    # dx the stepper's faces use
+    dx, N_l, N_r = params.dx, params.N_l, params.N_r
+    centers = np.concatenate([
+        (np.arange(N_l + 1) + offset_l) * dx,
+        params.x_m + (np.arange(N_r + 1) + offset_r) * dx,
+    ])
+    return Grid(N_l=N_l, N_r=N_r, dx=dx, x_m=params.x_m, L=params.L,
+                centers=centers)
 
 
 def build_grid(params: ModelParams) -> Grid:
-    """State grid; both segments must share the same dx.
+    """State grid at the step and cell counts of ``params``.
 
     The left unknowns sit at dx, 2*dx, ..., x_m and the right unknowns at
     x_m, x_m + dx, ..., L - dx: the membrane carries one unknown per side,
     both located at x_m.
     """
-    dx = _checked_dx(params)
-    N_l, N_r = params.N_l, params.N_r
-    centers = np.concatenate([
-        (np.arange(N_l + 1) + 1) * dx,
-        params.x_m + np.arange(N_r + 1) * dx,
-    ])
-    return Grid(N_l=N_l, N_r=N_r, dx=dx, x_m=params.x_m, L=params.L,
-                centers=centers)
+    return _grid(params, 1.0, 0.0)
 
 
 def midpoint_grid(params: ModelParams) -> Grid:
@@ -146,14 +137,7 @@ def midpoint_grid(params: ModelParams) -> Grid:
     this staggered layout instead: dx*sum is then the composite midpoint
     rule on (0, x_m) and (x_m, L), accurate to O(dx^2).
     """
-    dx = _checked_dx(params)
-    N_l, N_r = params.N_l, params.N_r
-    centers = np.concatenate([
-        (np.arange(N_l + 1) + 0.5) * dx,
-        params.x_m + (np.arange(N_r + 1) + 0.5) * dx,
-    ])
-    return Grid(N_l=N_l, N_r=N_r, dx=dx, x_m=params.x_m, L=params.L,
-                centers=centers)
+    return _grid(params, 0.5, 0.5)
 
 
 def _face_coefficients(params: ModelParams, D_l: float, D_r: float,
@@ -400,12 +384,11 @@ class _Run:
             self.record(t, U, V)
         mass0 = self.mass_series[0][1]
         drift = max(abs(m - mass0) for _, m in self.mass_series) / abs(mass0)
-        i, j = self.grid.membrane_index
         return SimResult(
             params=self.member.params, grid=self.grid, mode=mode,
             u=U, v=V,
             t_final=t, n_steps=it, converged=converged,
-            jump=(abs(U[j] - U[i]), abs(V[j] - V[i])),
+            jump=(membrane_jump(U, self.grid), membrane_jump(V, self.grid)),
             snapshots=self.snapshots, mass_series=self.mass_series,
             mass_drift=drift,
         )
@@ -427,13 +410,14 @@ def _start(index: int, params: ModelParams, initial, T: float, mode: str,
         M = conserved_mass(U, V, grid)
         linearization = steady_state(M, params.eps, params.alpha)
     n_steps = int(np.ceil(T / params.dt - 1e-9))
-    mass0 = grid.dx * float(np.sum(U) + np.sum(V))
-    return _Run(
+    r = _Run(
         index=index, member=_member(operators, params, linearization),
         grid=grid, n_steps=n_steps,
         snapshot_steps=_snapshot_steps(T, params.dt, n_steps), U=U, V=V,
-        snapshots=[(0.0, U.copy(), V.copy())], mass_series=[(0.0, mass0)],
+        snapshots=[], mass_series=[],
     )
+    r.record(0.0, U, V)
+    return r
 
 
 def run_batch(params_list, initials, T: float, mode: str = "nonlinear", *,

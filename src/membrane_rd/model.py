@@ -14,8 +14,9 @@ is pinned by the mean of the initial data and solves
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,6 +76,9 @@ class ModelParams:
 
     Grid: each side holds N+1 unknowns at spacing dx with the membrane value
     duplicated (left trace and right trace are distinct unknowns at x_m).
+    N_l and N_r default to the cell counts that fit dx and must fit it
+    otherwise; the grid and the stepper's faces both read this dx.  Every
+    float field must be finite, a subclass's fields included.
     """
 
     L: float = 1.0
@@ -82,8 +86,8 @@ class ModelParams:
     D_vl: float = 1.0
     D_vr: float = 1.0
     theta: float = 7.8e-2
-    k_v: float = 1.0
     k_u: float | None = None
+    k_v: float = 1.0
     eps: float = 1.0
     alpha: float = 1.0
     Theta_scheme: float = 1.0
@@ -93,6 +97,10 @@ class ModelParams:
     N_r: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite")
         if not self.L > 0:
             raise ValueError("L: domain length must be positive")
         if not 0 < self.x_m < self.L:
@@ -271,12 +279,10 @@ def initial_data(preset: str, grid, params: ModelParams | None = None, *,
         the linearised reaction-diffusion system at eta_n.
     """
     if preset == "paper-fig3":
-        n_l = grid.N_l + 1
-        xl, xr = grid.centers[:n_l], grid.centers[n_l:]
-        L, x_m = grid.L, grid.x_m
-        ul, vl = fig3_profile(xl, L, x_m)
-        s = np.sin(4.0 * np.pi * xr / L) / 5.0
-        ur, vr = 1.0 / 5.0 + s, 3.0 / 5.0 - s  # right branch, including x_m
+        # each side takes its own branch, whatever x <= x_m says: the left
+        # trace at (N_l + 1)*dx may round past x_m (x_m = +-inf picks a side)
+        ul, vl = fig3_profile(grid.centers[grid.left], grid.L, math.inf)
+        ur, vr = fig3_profile(grid.centers[grid.right], grid.L, -math.inf)
         return np.concatenate([ul, ur]), np.concatenate([vl, vr])
 
     if params is None:

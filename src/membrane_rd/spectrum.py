@@ -253,9 +253,8 @@ def eigenfunction(mode: EigenMode, x, side: str):
 
 def mode_values(mode: EigenMode, grid) -> np.ndarray:
     """Sample the eigenfunction on the two-segment grid (membrane duplicated)."""
-    n_l = grid.N_l + 1
-    zl = eigenfunction(mode, grid.centers[:n_l], "l")
-    zr = eigenfunction(mode, grid.centers[n_l:], "r")
+    zl = eigenfunction(mode, grid.centers[grid.left], "l")
+    zr = eigenfunction(mode, grid.centers[grid.right], "r")
     return np.concatenate([zl, zr])
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from membrane_rd.cli import (
@@ -22,7 +24,7 @@ def test_empty_config_gives_reference_defaults():
     cfg = parse_config("")
     assert cfg.L == 1.0 and cfg.x_m == 0.5
     assert cfg.dx == pytest.approx(1.0 / 200.0)
-    assert cfg.D_vl == cfg.D_vr == 1.0 and cfg.to_params().nu_D == 1.0
+    assert cfg.D_vl == cfg.D_vr == 1.0 and cfg.nu_D == 1.0
     assert cfg.eps == 1.0 and cfg.alpha == 1.0 and cfg.Theta_scheme == 1.0
     assert cfg.preset == "paper-fig3"
     assert cfg.N_l == cfg.N_r == 99
@@ -59,9 +61,38 @@ def test_parse_rejects_bad_values():
         parse_config("T = 0\n")
 
 
+def test_every_config_is_validated_when_built():
+    # a config made directly or by replace is checked like a parsed one
+    with pytest.raises(ConfigError, match="theta") as exc:
+        RunConfig(theta=-1)
+    assert exc.value.key == "theta"
+    with pytest.raises(ConfigError, match="T") as exc:
+        replace(parse_config(""), T=0)
+    assert exc.value.key == "T"
+
+
+@pytest.mark.parametrize("cmd, line", [
+    ("analyze", "theta = nan"),
+    ("analyze", "k_v = nan"),
+    ("analyze", "D_vr = inf"),
+    ("simulate", "T = inf"),
+    ("simulate", "L = inf"),
+    ("simulate", "dt = nan"),
+    ("simulate", "T = nan"),
+    ("simulate", "mass = -inf"),
+])
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, cmd, line):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.025\n" + line + "\n")
+    key = line.split()[0]
+    assert main([cmd, "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_accepts_two_diffusivity_domains():
     cfg = parse_config("D_vl = 0.1\nD_vr = 0.01\n")
-    assert cfg.to_params().nu_D == pytest.approx(0.1)
+    assert cfg.nu_D == pytest.approx(0.1)
     # the spectrum of a two-diffusivity domain is solved, not refused
     assert cmd_analyze(cfg, None).modes[1].eta > 0.0
 
@@ -212,11 +243,11 @@ def test_sweep_children_match_standalone_simulate(tmp_path):
 
 def test_sweep_records_child_failures_and_continues(tmp_path):
     cfg = parse_config("dx = 0.05\nT = 5\n")
-    # -1 fails its config; nan passes it and fails its run's factorisation
+    # -1 and nan each fail their config, which names the key
     summary = cmd_sweep(cfg, "theta", [1e-2, -1.0, float("nan"), 2e-2], tmp_path)
     assert "error" not in summary[0] and "error" not in summary[3]
-    assert "error" in summary[1]
-    assert "infs or NaNs" in summary[2]["error"]
+    assert "theta: diffusion ratio must be positive" in summary[1]["error"]
+    assert "theta: must be finite" in summary[2]["error"]
     rows = (tmp_path / "sweep_summary.csv").read_text().splitlines()
     assert "ok" in rows[1] and "theta" in rows[2] and rows[4].endswith(",ok")
 

@@ -132,6 +132,9 @@ def test_grid_asymmetric_membrane_position():
     grid = build_grid(p)
     assert grid.n_points == 65 + 131 + 2
     assert grid.centers[grid.membrane_index[0]] == pytest.approx(1.0 / 3.0)
+    # both grids sit at the dx of the stepper's faces, although x_m/66 != 1/198
+    assert grid.dx == p.dx
+    assert midpoint_grid(p).dx == p.dx
 
 
 def test_grid_rejects_mismatched_segments():

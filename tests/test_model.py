@@ -214,6 +214,20 @@ def test_fig3_membrane_trace_takes_both_branches(default_params):
     assert u0[j] == pytest.approx(1.0 / 5.0, abs=1e-12)   # right branch at x_m
 
 
+@pytest.mark.parametrize("x_m, N_l, N_r, dx", [
+    (1.0 / 3.0, 65, 131, 1.0 / 198.0),   # 66 * dx rounds above x_m
+    (0.4, 10, 10, 0.4 / 11.0),           # 11 * (x_m / 11) rounds above x_m
+])
+def test_fig3_left_trace_keeps_left_branch_off_centre(x_m, N_l, N_r, dx):
+    L = x_m + (N_r + 1) * dx
+    grid = build_grid(make_params(L=L, x_m=x_m, N_l=N_l, N_r=N_r, dx=dx))
+    i, j = grid.membrane_index
+    assert grid.centers[i] > x_m  # the case where x <= x_m picks the wrong branch
+    u0, v0 = initial_data("paper-fig3", grid)
+    assert u0[i] - u0[j] == pytest.approx(4.0 / 15.0, abs=1e-12)
+    assert v0[j] - v0[i] == pytest.approx(4.0 / 15.0, abs=1e-12)
+
+
 def test_noise_preset_is_seeded(default_params):
     grid = build_grid(default_params)
     a = initial_data("constant-plus-noise", grid, default_params, seed=3)
