@@ -24,12 +24,14 @@ solver accuracy.
 
 One kernel steps B >= 1 parameter sets (members) at once, as one stacked
 state w = [U_1 ... U_B, V_1 ... V_B].  Its faces are each block's own faces
-with an exact 0.0 at every block junction, so C is block diagonal and
-I + T*C has a single banded Cholesky factor: the members' own factors side
-by side, each block's first column holding its zero coupling.  A junction
-face carries a zero flux and adds nothing to the diagonal, and a zero
-coupling adds nothing to either substitution, so the flux difference and
-the one ``pbtrs`` per step do the same floating-point operations on every
+with an exact 0.0 at every block junction, so C is block diagonal.  I + T*C
+is symmetric positive definite and tridiagonal, factored once per member as
+L D L^T by LAPACK ``pttrf``: a diagonal D and the unit sub-diagonal of L.
+The batch factor joins the members' D and sub-diagonals with the same exact
+0.0 at every junction, and each step is one ``pttrs``, solving in place.
+A junction face carries a zero flux and adds nothing to the diagonal, and
+a zero sub-diagonal entry adds b*0 to both substitutions, so the flux
+difference and the solve do the same floating-point operations on every
 entry as a member stepped alone.  Each member's dt, eps, alpha (or its
 linearisation) enter per entry, and its rate max|dU, dV|/dt is the max
 over its two blocks; B = 1 uses scalars and one max instead.  A member
@@ -39,8 +41,11 @@ rebuilt from the rest.  The one exception to block independence is
 the step is then repeated for each member alone to find who blew up, and
 redone without them.  Hence `run_batch` gives every member bit for bit the
 result of `run`, which is the same kernel at B = 1; `step` is one call of
-it.  The step loop writes into preallocated buffers and calls LAPACK
-``pbtrs`` directly.
+it.  The step loop writes into preallocated buffers.
+
+A membrane permeability at or above ``PERMEABILITY_INF`` is stepped as
+that sentinel, the transparent membrane: a larger k would swamp the 1 of
+I + T*C in rounding and lose mass without changing the physics.
 """
 
 from __future__ import annotations
@@ -49,9 +54,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .model import ModelParams, SteadyState, conserved_mass, reaction, steady_state
+from .model import (
+    PERMEABILITY_INF,
+    ModelParams,
+    SteadyState,
+    conserved_mass,
+    reaction,
+    steady_state,
+)
+
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
 
 class BlowUpError(RuntimeError):
@@ -146,7 +160,7 @@ def _face_coefficients(params: ModelParams, D_l: float, D_r: float,
     dx, dt = params.dx, params.dt
     faces = np.empty(grid_n - 1)
     faces[: params.N_l] = D_l * dt / dx**2
-    faces[params.N_l] = k * dt / dx
+    faces[params.N_l] = min(k, PERMEABILITY_INF) * dt / dx
     faces[params.N_l + 1:] = D_r * dt / dx**2
     return faces
 
@@ -187,7 +201,8 @@ class _Member:
     n: int                      # unknowns per species
     faces_u: np.ndarray
     faces_v: np.ndarray
-    chol: np.ndarray            # (2, 2n) upper banded factor of I + T*C on [U; V]
+    diag: np.ndarray            # I + T*C on [U; V] = L D L^T: the 2n entries of D
+    sub: np.ndarray             # and the 2n-1 of L's sub-diagonal, 0.0 at the U/V seam
     linearization: SteadyState | None
 
 
@@ -195,9 +210,22 @@ def _member(operators, params: ModelParams,
             linearization: SteadyState | None) -> _Member:
     op_u, op_v = operators
     # the v block's unused corner lhs[0, 0] == 0 is the U/V coupling
-    chol = cholesky_banded(np.hstack([op_u.lhs[:2], op_v.lhs[:2]]), lower=False)
+    lhs = np.hstack([op_u.lhs[:2], op_v.lhs[:2]])
+    if not np.isfinite(lhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    diag, sub, info = _pttrf(lhs[1], lhs[0, 1:])
+    if info:
+        raise (LinAlgError if info > 0 else ValueError)(
+            f"pttrf: info = {info}, I + T*C is not positive definite")
     return _Member(params=params, n=op_u.faces.size + 1, faces_u=op_u.faces,
-                   faces_v=op_v.faces, chol=chol, linearization=linearization)
+                   faces_v=op_v.faces, diag=diag, sub=sub,
+                   linearization=linearization)
+
+
+def _join(blocks) -> np.ndarray:
+    # the blocks end to end with an exact 0.0 between neighbours
+    junction = np.zeros(1)
+    return np.concatenate([a for blk in blocks for a in (junction, blk)][1:])
 
 
 def _kernel(members: list[_Member], mode: str):
@@ -233,14 +261,13 @@ def _kernel(members: list[_Member], mode: str):
         fu, fv, gu, gv = (spread([getattr(s.jac, d) for s in lins])
                           for d in ("fu", "fv", "gu", "gv"))
 
-    blocks = [m.faces_u for m in members] + [m.faces_v for m in members]
-    junction = np.zeros(1)
-    faces = np.concatenate([a for blk in blocks for a in (junction, blk)][1:])
+    faces = _join([m.faces_u for m in members] + [m.faces_v for m in members])
     # a member's factor is block diagonal, so the batch factor is theirs side
-    # by side; each block's first column holds its zero coupling
-    chol = np.asfortranarray(np.hstack([m.chol[:, :m.n] for m in members]
-                                       + [m.chol[:, m.n:] for m in members]))
-    pbtrs, = get_lapack_funcs(("pbtrs",), (chol,))
+    # by side, joined like the faces
+    diag = np.concatenate([m.diag[:m.n] for m in members]
+                          + [m.diag[m.n:] for m in members])
+    sub = _join([m.sub[:m.n - 1] for m in members]
+                + [m.sub[m.n:] for m in members])
     flux = np.empty(2 * nu - 1)
     flux_hi, flux_lo = flux[1:], flux[:-1]
     rhs = np.empty(2 * nu)
@@ -270,9 +297,9 @@ def _kernel(members: list[_Member], mode: str):
             dv = w[nu:] - v_bar
             np.add(rhs_u, (fu * du + fv * dv) * dt, out=rhs_u)
             np.add(rhs_v, (gu * du + gv * dv) * dt, out=rhs_v)
-        x, info = pbtrs(chol, rhs, overwrite_b=1)
+        x, info = _pttrs(diag, sub, rhs, overwrite_b=1)  # x is rhs, solved in place
         if info:
-            raise (LinAlgError if info > 0 else ValueError)(f"pbtrs: info = {info}")
+            raise ValueError(f"pttrs: info = {info}")
         np.add(w, x, out=w_new)
         np.subtract(w_new, w, out=work)
         np.abs(work, out=work)

@@ -105,8 +105,9 @@ class ModelParams:
             raise ValueError("L: domain length must be positive")
         if not 0 < self.x_m < self.L:
             raise ValueError("x_m: membrane must sit strictly inside (0, L)")
-        if self.D_vl <= 0 or self.D_vr <= 0:
-            raise ValueError("D_vl/D_vr: inhibitor diffusivities must be positive")
+        for name in ("D_vl", "D_vr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: inhibitor diffusivity must be positive")
         if self.theta <= 0:
             raise ValueError("theta: diffusion ratio must be positive")
         if self.eps <= 0:

@@ -59,6 +59,10 @@ def test_parse_rejects_bad_values():
         parse_config("N_l = 49\n")
     with pytest.raises(ConfigError, match="T"):
         parse_config("T = 0\n")
+    for key in ("D_vl", "D_vr"):
+        with pytest.raises(ConfigError, match=f"^{key}: ") as exc:
+            parse_config(f"{key} = -1\n")
+        assert exc.value.key == key
 
 
 def test_every_config_is_validated_when_built():
@@ -287,6 +291,11 @@ def test_main_exit_codes(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "nope.cfg"),
                  "--out", out]) == 4
     assert main(["simulate", "--config", str(blow), "--out", out]) == 3
+    # finite diffusivities whose mesh ratios overflow: the factor rejects the
+    # operator before the first step
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(FAST + "D_vl = 1e308\nD_vr = 1e308\n")
+    assert main(["simulate", "--config", str(huge), "--out", out]) == 2
 
 
 def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
 from membrane_rd import (
     ModelParams,
@@ -62,14 +62,36 @@ def face_ratios(op, p):
     return op.faces[0], op.faces[-1], op.faces[p.N_l]
 
 
-def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8):
+def ldl_solver(op):
+    """x -> lhs^-1 x by LAPACK's tridiagonal LDL^T pair, the stepper's solve."""
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
+    d, e, info = pttrf(op.lhs[1], op.lhs[0, 1:])
+    assert info == 0
+
+    def solve(b):
+        x, info = pttrs(d, e, b)
+        assert info == 0
+        return x
+
+    return solve
+
+
+def cholesky_solver(op):
+    """x -> lhs^-1 x by a banded Cholesky factor, independent of the stepper's."""
+    chol = cholesky_banded(op.lhs[:2], lower=False)
+    return lambda b: cho_solve_banded((chol, False), b, check_finite=False)
+
+
+def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8,
+                  solver=ldl_solver):
     """Separate U and V increment steps, the stepper before its U/V stacking.
 
-    Returns (U, V, snapshots, n_steps, converged) with the snapshot rule of
-    `run`; raises BlowUpError with the step index and time.
+    ``solver(op)`` gives each species' solve with its lhs.  Returns
+    (U, V, snapshots, n_steps, converged) with the snapshot rule of `run`;
+    raises BlowUpError with the step index and time.
     """
     ops = [assemble(p, s) for s in "uv"]
-    chols = [cholesky_banded(op.lhs[:2], lower=False) for op in ops]
+    solves = [solver(op) for op in ops]
     ss = steady_state(conserved_mass(u0, v0, build_grid(p)), p.eps, p.alpha)
     dt, n_steps = p.dt, int(np.ceil(T / p.dt - 1e-9))
     targets = [T / 2**j for j in range(6, -1, -1)]
@@ -85,12 +107,12 @@ def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8):
         else:
             fg = (None, None)
         new = []
-        for X, F, op, chol in zip((U, V), fg, ops, chols):
+        for X, F, op, solve in zip((U, V), fg, ops, solves):
             flux = op.faces * np.diff(X)
             div = np.empty_like(X)
             div[0], div[-1], div[1:-1] = -flux[0], flux[-1], flux[:-1] - flux[1:]
             b = -div if F is None else -div + dt * F
-            new.append(X + cho_solve_banded((chol, False), b, check_finite=False))
+            new.append(X + solve(b))
         if not all(np.all(np.isfinite(X)) for X in new):
             raise BlowUpError("non-finite state", step_index=it, t=it * dt)
         rate = max(np.max(np.abs(new[0] - U)), np.max(np.abs(new[1] - V))) / dt
@@ -281,7 +303,7 @@ def test_step_blow_up_detected():
     assert got.value.t == want.value.t
 
 
-@pytest.mark.parametrize("mode, kw, T, stops_early", [
+RUN_CASES = [
     ("nonlinear", dict(theta=7.8e-2), 5.0, False),
     ("linearized", dict(theta=3e-4, dt=1e-3), 0.5, False),
     # D_u = 5 D_v: v decays last and sets the rate that stops the run
@@ -295,8 +317,12 @@ def test_step_blow_up_detected():
     ("nonlinear", dict(theta=1e-2, x_m=1.0 / 3.0, N_l=65, N_r=131, dx=1.0 / 198.0),
      2.0, False),
     ("nonlinear", dict(theta=0.3101693089477196), 1000.0, True),
-], ids=["nonlinear", "linearized", "diffusion", "Theta0", "Theta0.5", "Theta1",
-        "k_v0", "k_v1", "k_v1e8", "x_m_third", "theta_c"])
+]
+RUN_IDS = ["nonlinear", "linearized", "diffusion", "Theta0", "Theta0.5", "Theta1",
+           "k_v0", "k_v1", "k_v1e8", "x_m_third", "theta_c"]
+
+
+@pytest.mark.parametrize("mode, kw, T, stops_early", RUN_CASES, ids=RUN_IDS)
 def test_run_is_bitwise_the_per_species_step(mode, kw, T, stops_early):
     # the stacked U/V step must reproduce the per-species step exactly
     p = coarse_params(**kw)
@@ -310,6 +336,23 @@ def test_run_is_bitwise_the_per_species_step(mode, kw, T, stops_early):
     assert [t for t, _, _ in res.snapshots] == [t for t, _, _ in snaps]
     for (_, U1, V1), (_, U2, V2) in zip(res.snapshots, snaps):
         assert np.array_equal(U1, U2) and np.array_equal(V1, V2)
+
+
+@pytest.mark.parametrize("mode, kw, T, stops_early", RUN_CASES, ids=RUN_IDS)
+def test_run_matches_a_banded_cholesky_solve(mode, kw, T, stops_early):
+    # an independent factor of I + T*C: the same stops, and states equal up
+    # to rounding amplified by the condition number of I + T*C, 8e7 at the
+    # transparent sentinel and at most 1.6e3 in the other cases (measured:
+    # relative differences of 1.2e-10 and at most 3.7e-15)
+    p = coarse_params(**kw)
+    u0, v0 = initial_data("paper-fig3", build_grid(p))
+    U, V, _, n_steps, converged = reference_run(p, u0, v0, T, mode,
+                                                solver=cholesky_solver)
+    res = run(p, (u0, v0), T, mode=mode)
+    assert (res.n_steps, res.converged) == (n_steps, converged)
+    bound = 1e-9 if p.k_v >= 1e8 else 1e-13
+    for got, want in ((res.u, U), (res.v, V)):
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 THETA_C = 0.3101693089477196
@@ -476,6 +519,18 @@ def test_run_mass_at_transparent_sentinel():
     u0, v0 = initial_data("paper-fig3", grid)
     res = run(p, (u0, v0), 20.0, steady_stop=False)
     assert res.mass_drift < 1e-8
+
+
+@pytest.mark.parametrize("k_v", [1e12, 1e16, 1e18, 1e30])
+def test_run_steps_a_larger_permeability_as_the_sentinel(k_v):
+    # k beyond PERMEABILITY_INF is the same transparent membrane; taken as
+    # given, dt*k/dx swamps the 1 of I + T*C: mass drift 4e-7 at 1e12 and
+    # 0.6 at 1e18, and no positive definite factor at 1e30
+    p = coarse_params(theta=3e-4, k_v=k_v)
+    u0, v0 = initial_data("paper-fig3", build_grid(p))
+    res = run(p, (u0, v0), 5.0)
+    assert res.mass_drift < 1e-9
+    assert max(res.jump) < 1e-9
 
 
 def test_linearized_growth_tracks_dispersion(paper_steady):
