@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fdm, spectrum, stability
-from .model import ModelParams, conserved_mass, initial_data, steady_state
+from .model import PRESETS, ModelParams, conserved_mass, initial_data, steady_state
 
 
 class ConfigError(ValueError):
@@ -39,7 +39,8 @@ class RunConfig(ModelParams):
 
     The problem keys are the `ModelParams` fields, validated and resolved
     (k_u, dt, N_l, N_r) when the config is built; the keys added here say
-    how to start, run and write it.
+    how to start, run and write it.  A start key that the chosen preset does
+    not read (``_PRESET_KEYS``) must keep its default.
     """
 
     preset: str = "paper-fig3"
@@ -60,6 +61,24 @@ class RunConfig(ModelParams):
             raise ConfigError(key, message.strip()) from None
         if not self.T > 0:
             raise ConfigError("T", "final time must be positive")
+        if self.preset not in PRESETS:
+            raise ConfigError("preset", f"unknown preset {self.preset!r} "
+                                        f"(expected one of {PRESETS})")
+        for key, readers in _PRESET_KEYS.items():
+            default = getattr(RunConfig, key)
+            if self.preset not in readers and getattr(self, key) != default:
+                raise ConfigError(key, f"preset {self.preset} ignores it "
+                                       f"(read by {' and '.join(readers)})")
+
+
+# the run keys that only some presets read
+_PRESET_KEYS = {
+    "mass": ("constant-plus-noise", "eigenmode-perturbation"),
+    "noise_amplitude": ("constant-plus-noise",),
+    "seed": ("constant-plus-noise",),
+    "preset_mode": ("eigenmode-perturbation",),
+    "preset_amplitude": ("eigenmode-perturbation",),
+}
 
 
 # each key parses as its RunConfig field's type (without the None of an open field)

@@ -33,15 +33,28 @@ A junction face carries a zero flux and adds nothing to the diagonal, and
 a zero sub-diagonal entry adds b*0 to both substitutions, so the flux
 difference and the solve do the same floating-point operations on every
 entry as a member stepped alone.  Each member's dt, eps, alpha (or its
-linearisation) enter per entry, and its rate max|dU, dV|/dt is the max
-over its two blocks; B = 1 uses scalars and one max instead.  A member
-that converges or takes its last step leaves the batch, and the kernel is
-rebuilt from the rest.  The one exception to block independence is
+linearisation) enter as arrays with one entry per unknown, at B = 1 too:
+the same roundings, and a ufunc costs less with an array operand than with
+a Python float.  The face fluxes sit between a +0.0 and a -0.0 in one
+buffer, so rhs = -C w is a single difference.
+
+The loop advances in blocks of up to ``_BLOCK_STEPS`` = 32 steps, fewer
+when its ring of states would pass ``_RING_BYTES`` = 1 MiB.  Step j writes
+ring row j + 1 from row j through views made once per kernel, so the loop
+creates no arrays.  Rates, stops and blow-ups are checked once per block
+of steps: one reduction of |W[j+1] - W[j]| gives every member's rate
+max|dU, dV|/dt (the max over its U and V blocks) for every step, and the
+loop stops at the first row where a member converges or a state is not
+finite.  A block of steps never passes the next snapshot or last step.
+The steps do not depend on the checks, so a stop inside a block drops the
+rows after it and leaves the states that a check after every step gives.
+A member that converges or takes its last step leaves the batch, and the
+kernel is rebuilt from the rest.  The one exception to block independence is
 0 * inf = nan at a junction: a blow-up spreads into the other blocks, so
-the step is then repeated for each member alone to find who blew up, and
-redone without them.  Hence `run_batch` gives every member bit for bit the
-result of `run`, which is the same kernel at B = 1; `step` is one call of
-it.  The step loop writes into preallocated buffers.
+the step from the last finite row is then repeated for each member alone
+to find who blew up, and the others go on from that row without them.
+Hence `run_batch` gives every member bit for bit the result of `run`,
+which is the same loop at B = 1; `step` is one step of the kernel.
 
 A membrane permeability at or above ``PERMEABILITY_INF`` is stepped as
 that sentinel, the transparent membrane: a larger k would swamp the 1 of
@@ -71,7 +84,8 @@ _pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 class BlowUpError(RuntimeError):
     """The state left the range of finite floats."""
 
-    def __init__(self, message, step_index=None, t=None):
+    def __init__(self, message="non-finite state after step", step_index=None,
+                 t=None):
         super().__init__(message)
         self.step_index = step_index
         self.t = t
@@ -186,8 +200,16 @@ def assemble(params: ModelParams, species: str) -> StepOperator:
     else:
         raise ValueError(f"species must be 'u' or 'v', got {species!r}")
     faces = _face_coefficients(params, D_l, D_r, k)
-    return StepOperator(lhs=_banded_from_faces(faces, params.Theta_scheme),
-                        faces=faces)
+    with np.errstate(over="ignore"):
+        lhs = _banded_from_faces(faces, params.Theta_scheme)
+    if not (np.isfinite(faces).all() and np.isfinite(lhs).all()):
+        # name the config key of the largest face (D_ul = theta*D_vl, ...)
+        i = int(np.argmax(faces))
+        key = ("D_vl" if i < params.N_l else f"k_{species}" if i == params.N_l
+               else "D_vr")
+        raise ValueError(f"{key}: the mesh ratios of {species} overflow, "
+                         "I + T*C is not finite")
+    return StepOperator(lhs=lhs, faces=faces)
 
 
 MODES = ("nonlinear", "linearized", "diffusion")
@@ -228,15 +250,25 @@ def _join(blocks) -> np.ndarray:
     return np.concatenate([a for blk in blocks for a in (junction, blk)][1:])
 
 
+#: steps per block of the step loop: its states, rates and stops are
+#: checked once per block
+_BLOCK_STEPS = 32
+#: bound on the bytes of a kernel's ring of states and their differences
+_RING_BYTES = 1 << 20
+
+
 def _kernel(members: list[_Member], mode: str):
     """The step kernel for the stacked state [U_1 ... U_B, V_1 ... V_B].
 
-    Returns ``(advance, rates)``.  ``advance(w, w_new)`` writes the step
-    from w into w_new, fills ``rates[b]`` with member b's
-    max|w_new - w| / dt_b over both its blocks and returns the smallest
-    rate; it raises BlowUpError if w_new is not finite.  It reuses the
-    buffers made here; callers silence floating-point warnings once around
-    their loop.
+    Returns ``(ring, advance)``.  ``ring`` holds K + 1 states, one a row, with
+    K at most ``_BLOCK_STEPS`` and fewer when the ring and its differences
+    would pass ``_RING_BYTES``.  ``advance(kb)`` steps row 0 into row 1, row 1
+    into row 2 and so on, kb <= K times, and returns the (kb, B) rates: entry
+    (j, b) is member b's max|W[j+1] - W[j]| / dt_b over its U and V blocks.  A
+    row that leaves the finite floats makes its members' rates inf or nan;
+    finding it is left to the caller, and the steps after it are garbage.
+    The kernel reuses the buffers made here; callers silence floating-point
+    warnings once around their loop.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
@@ -245,14 +277,15 @@ def _kernel(members: list[_Member], mode: str):
     nu = sum(sizes)
 
     def spread(values):
-        # one constant per member: a scalar at B = 1, else one per entry of U
-        return values[0] if B == 1 else np.repeat(values, sizes)
+        # one constant per member, on each of its entries of U
+        return np.repeat(np.array(values, dtype=float), sizes)
 
+    nonlinear, linearized = mode == "nonlinear", mode == "linearized"
     dt = spread([m.params.dt for m in members])
-    if mode == "nonlinear":
+    if nonlinear:
         eps = spread([m.params.eps for m in members])
         alpha = spread([m.params.alpha for m in members])
-    elif mode == "linearized":
+    elif linearized:
         if any(m.linearization is None for m in members):
             raise ValueError("linearized mode needs the steady state")
         lins = [m.linearization for m in members]
@@ -268,54 +301,90 @@ def _kernel(members: list[_Member], mode: str):
                           + [m.diag[m.n:] for m in members])
     sub = _join([m.sub[:m.n - 1] for m in members]
                 + [m.sub[m.n:] for m in members])
-    flux = np.empty(2 * nu - 1)
-    flux_hi, flux_lo = flux[1:], flux[:-1]
+    # the face fluxes between a +0.0 and a -0.0, so that one difference gives
+    # rhs = -C w with rhs[0] = flux[0] and rhs[-1] = -flux[-1] exactly
+    flux_pad = np.zeros(2 * nu + 1)
+    flux_pad[-1] = -0.0
+    flux, flux_hi, flux_lo = flux_pad[1:-1], flux_pad[1:], flux_pad[:-1]
     rhs = np.empty(2 * nu)
-    rhs_u, rhs_v, rhs_inner = rhs[:nu], rhs[nu:], rhs[1:-1]
-    work = np.empty(2 * nu)
-    work_u, work_v = work[:nu], work[nu:]
-    rates = np.empty(B)
-    if B > 1:
-        starts = np.cumsum([0] + sizes + sizes[:-1])
-        block_max = np.empty(2 * B)
-        dts = np.array([m.params.dt for m in members])
+    rhs_u, rhs_v = rhs[:nu], rhs[nu:]
+    work_u, work_v, work_du, work_dv = np.empty((4, nu))
+    reaction_out = (work_u, work_v)
 
-    def advance(w, w_new):
-        # rhs = -C w as a telescoping difference of the face fluxes
-        np.subtract(w[1:], w[:-1], out=flux)
-        np.multiply(faces, flux, out=flux)
-        rhs[0] = flux[0]
-        np.subtract(flux_hi, flux_lo, out=rhs_inner)
-        rhs[-1] = -flux[-1]
-        if mode == "nonlinear":
-            f = reaction(w[:nu], w[nu:], eps, alpha, out=(work_u, work_v))
-            np.multiply(f, dt, out=f)
-            np.add(rhs_u, f, out=rhs_u)
-            np.subtract(rhs_v, f, out=rhs_v)  # g = -f
-        elif mode == "linearized":
-            du = w[:nu] - u_bar
-            dv = w[nu:] - v_bar
-            np.add(rhs_u, (fu * du + fv * dv) * dt, out=rhs_u)
-            np.add(rhs_v, (gu * du + gv * dv) * dt, out=rhs_v)
-        x, info = _pttrs(diag, sub, rhs, overwrite_b=1)  # x is rhs, solved in place
-        if info:
-            raise ValueError(f"pttrs: info = {info}")
-        np.add(w, x, out=w_new)
-        np.subtract(w_new, w, out=work)
-        np.abs(work, out=work)
-        if B == 1:
-            lo = hi = rates[0] = float(work.max()) / dt
-        else:
-            np.maximum.reduceat(work, starts, out=block_max)
-            np.maximum(block_max[:B], block_max[B:], out=rates)
-            np.divide(rates, dts, out=rates)
-            lo, hi = rates.min(), rates.max()
-        # a non-finite entry of w_new makes its member's rate inf or nan
-        if not math.isfinite(hi) and not np.isfinite(w_new).all():
-            raise BlowUpError("non-finite state after step")
-        return lo
+    # the ring's K + 1 rows and the K rows of their differences, 16*nu bytes each
+    K = max(1, min(_BLOCK_STEPS, (_RING_BYTES // (16 * nu) - 1) // 2))
+    ring = np.empty((K + 1, 2 * nu))
+    # each step's views, made once: from, its two shifts, its U and V, to
+    views = [(w, w[1:], w[:-1], w[:nu], w[nu:], w_next)
+             for w, w_next in zip(ring[:-1], ring[1:])]
+    diffs = np.empty((K, 2 * nu))
+    starts = np.cumsum([0] + sizes + sizes[:-1])
+    block_max = np.empty((K, 2 * B))
+    rates = np.empty((K, B))
+    dts = np.array([m.params.dt for m in members])
 
-    return advance, rates
+    def advance(kb):
+        for w, w_hi, w_lo, w_u, w_v, w_next in views[:kb]:
+            np.subtract(w_hi, w_lo, out=flux)
+            np.multiply(faces, flux, out=flux)
+            np.subtract(flux_hi, flux_lo, out=rhs)
+            if nonlinear:
+                f = reaction(w_u, w_v, eps, alpha, out=reaction_out)
+                np.multiply(f, dt, out=f)
+                np.add(rhs_u, f, out=rhs_u)
+                np.subtract(rhs_v, f, out=rhs_v)  # g = -f
+            elif linearized:
+                du = np.subtract(w_u, u_bar, out=work_du)
+                dv = np.subtract(w_v, v_bar, out=work_dv)
+                for lin_u, lin_v, part in ((fu, fv, rhs_u), (gu, gv, rhs_v)):
+                    s = np.multiply(lin_u, du, out=work_u)
+                    np.add(s, np.multiply(lin_v, dv, out=work_v), out=s)
+                    np.multiply(s, dt, out=s)
+                    np.add(part, s, out=part)
+            # overwrite_b = 1: x is rhs, solved in place
+            x, info = _pttrs(diag, sub, rhs, 1)
+            if info:
+                raise ValueError(f"pttrs: info = {info}")
+            np.add(w, x, out=w_next)
+        d, top, r = diffs[:kb], block_max[:kb], rates[:kb]
+        np.subtract(ring[1:kb + 1], ring[:kb], out=d)
+        np.abs(d, out=d)
+        np.maximum.reduceat(d, starts, axis=1, out=top)
+        np.maximum(top[:, :B], top[:, B:], out=r)
+        return np.divide(r, dts, out=r)
+
+    return ring, advance
+
+
+def _first_stop(rates, ring, steady_tol: float, steady_stop: bool):
+    """(j, blown_up) for the first row of a block of steps that stops, or None.
+
+    Row j is the step from ``ring[j]`` to ``ring[j + 1]``.  A member stops
+    there when it converges (rate < steady_tol, with ``steady_stop``) or when
+    the new state is not finite.  A rate can be inf with a finite state (an
+    overflowing difference), so the state of such a row is checked.
+    """
+    lo, hi = rates.min(), rates.max()
+    if math.isfinite(hi) and not (steady_stop and lo < steady_tol):
+        return None
+    lo, hi = rates.min(axis=1), rates.max(axis=1)
+    flags = ~np.isfinite(hi)
+    if steady_stop:
+        flags |= lo < steady_tol
+    for j in np.flatnonzero(flags).tolist():
+        if not math.isfinite(hi[j]) and not np.isfinite(ring[j + 1]).all():
+            return j, True
+        if steady_stop and lo[j] < steady_tol:
+            return j, False
+    return None
+
+
+def _step_alone(member: _Member, mode: str, state: np.ndarray) -> np.ndarray:
+    # one step of the member alone from state (errstate is the caller's)
+    ring, advance = _kernel([member], mode)
+    ring[0] = state
+    advance(1)
+    return ring[1]
 
 
 def step(state, operators, params: ModelParams, mode: str = "nonlinear", *,
@@ -326,14 +395,13 @@ def step(state, operators, params: ModelParams, mode: str = "nonlinear", *,
     the equilibrium applied to deviations, 'diffusion' switches the
     reactions off.  Returns the new (U, V).
     """
-    advance, _ = _kernel([_member(operators, params, linearization)], mode)
-    w = np.concatenate(state, dtype=float)
-    w_new = np.empty_like(w)
-    # blow-up is detected by the kernel; keep the overflow path silent
+    member = _member(operators, params, linearization)
+    # blow-up is detected below; keep the overflow path silent
     with np.errstate(over="ignore", invalid="ignore"):
-        advance(w, w_new)
-    n = w.size // 2
-    return w_new[:n], w_new[n:]
+        w = _step_alone(member, mode, np.concatenate(state, dtype=float))
+    if not np.isfinite(w).all():
+        raise BlowUpError()
+    return w[:member.n], w[member.n:]
 
 
 @dataclass(eq=False)
@@ -485,59 +553,78 @@ def run_batch(params_list, initials, T: float, mode: str = "nonlinear", *,
             results[b] = r.result(mode, 0, r.U, r.V, False)
 
     it = 0
-    # blow-up is detected by the kernel; keep the overflow path silent
+    # blow-up is detected from the rates; keep the overflow path silent
     with np.errstate(over="ignore", invalid="ignore"):
         while active:
-            advance, rates = _kernel([r.member for r in active], mode)
-            w = np.concatenate([r.U for r in active] + [r.V for r in active])
-            w_new = np.empty_like(w)
-            ends = np.cumsum([r.member.n for r in active]).tolist()
-            nu = ends[-1]
-            spans = list(zip([0] + ends[:-1], ends))
-
-            def blocks(i):
-                a, b = spans[i]
-                return w[a:b], w[nu + a:nu + b]
-
-            next_event = min(r.next_event for r in active)
-            left = []
-            while not left:
-                it += 1
-                try:
-                    lo = advance(w, w_new)
-                except BlowUpError as exc:
-                    # 0 * inf at a junction carries a blow-up into the other
-                    # blocks: step each member alone from w to find the ones
-                    # that blew up, then redo the step without them
-                    for i, r in enumerate(active):
-                        alone, _ = _kernel([r.member], mode)
-                        try:
-                            alone(np.concatenate(blocks(i)), np.empty(2 * r.member.n))
-                        except BlowUpError as own:
-                            results[r.index] = BlowUpError(
-                                str(own), step_index=it, t=it * r.member.params.dt)
-                            left.append(i)
-                    if not left:
-                        raise exc
-                    it -= 1
-                    break
-                w, w_new = w_new, w
-                if it < next_event and not (steady_stop and lo < steady_tol):
-                    continue
-                for i, r in enumerate(active):
-                    U, V = blocks(i)
-                    if r.snapshot_steps and r.snapshot_steps[-1] == it:
-                        r.snapshot_steps.pop()
-                        r.record(it * r.member.params.dt, U, V)
-                    rate = float(rates[i])
-                    if it == r.n_steps or (steady_stop and rate < steady_tol):
-                        results[r.index] = r.result(mode, it, U, V, rate < steady_tol)
-                        left.append(i)
-                next_event = min(r.next_event for r in active)
-            for i, r in enumerate(active):
-                r.U, r.V = (x.copy() for x in blocks(i))
+            it, left = _step_batch(active, it, mode, steady_tol, steady_stop, results)
             active = [r for i, r in enumerate(active) if i not in left]
     return results
+
+
+def _step_batch(active: list[_Run], it: int, mode: str, steady_tol: float,
+                steady_stop: bool, results: list) -> tuple[int, list[int]]:
+    """Step the members ``active`` from step ``it`` until some leave.
+
+    Enters the results of those that converge, take their last step or blow
+    up, and leaves every member's state at the returned step in its U and V.
+    Returns that step and the positions in ``active`` of the members that
+    left.  The kernel and its ring are freed on return, before the next
+    batch builds its own.
+    """
+    ring, advance = _kernel([r.member for r in active], mode)
+    K = ring.shape[0] - 1
+    w = ring[0]  # the state at step it
+    w[:] = np.concatenate([r.U for r in active] + [r.V for r in active])
+    ends = np.cumsum([r.member.n for r in active]).tolist()
+    nu = ends[-1]
+    spans = list(zip([0] + ends[:-1], ends))
+
+    def blocks(i):
+        a, b = spans[i]
+        return w[a:b], w[nu + a:nu + b]
+
+    next_event = min(r.next_event for r in active)
+    left = []
+    while not left:
+        # a block of steps never passes the next snapshot or last step
+        kb = min(K, next_event - it)
+        rates = advance(kb)
+        stop = _first_stop(rates, ring, steady_tol, steady_stop)
+        if stop is not None and stop[1]:
+            # 0 * inf at a junction carries a blow-up into the other blocks:
+            # step each member alone from the last finite state to find the
+            # ones that blew up, then go on without them from there
+            it += stop[0]
+            w[:] = ring[stop[0]]
+            for i, r in enumerate(active):
+                if not np.isfinite(_step_alone(
+                        r.member, mode, np.concatenate(blocks(i)))).all():
+                    results[r.index] = BlowUpError(
+                        step_index=it + 1, t=(it + 1) * r.member.params.dt)
+                    left.append(i)
+            if not left:
+                raise BlowUpError()
+            break
+        # the steps are independent of the checks: a stop drops the rows
+        # after it and leaves the same states
+        j = kb - 1 if stop is None else stop[0]
+        it += j + 1
+        w[:] = ring[j + 1]
+        if it < next_event and stop is None:
+            continue
+        for i, r in enumerate(active):
+            U, V = blocks(i)
+            if r.snapshot_steps and r.snapshot_steps[-1] == it:
+                r.snapshot_steps.pop()
+                r.record(it * r.member.params.dt, U, V)
+            rate = float(rates[j, i])
+            if it == r.n_steps or (steady_stop and rate < steady_tol):
+                results[r.index] = r.result(mode, it, U, V, rate < steady_tol)
+                left.append(i)
+        next_event = min(r.next_event for r in active)
+    for i, r in enumerate(active):
+        r.U, r.V = (x.copy() for x in blocks(i))
+    return it, left
 
 
 def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,

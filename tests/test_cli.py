@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -63,6 +64,31 @@ def test_parse_rejects_bad_values():
         with pytest.raises(ConfigError, match=f"^{key}: ") as exc:
             parse_config(f"{key} = -1\n")
         assert exc.value.key == key
+    with pytest.raises(ConfigError, match="^preset: unknown preset 'nope'"):
+        parse_config("preset = nope\n")
+
+
+@pytest.mark.parametrize("preset, line", [
+    ("paper-fig3", "mass = 0.5"),
+    ("paper-fig3", "noise_amplitude = 0.1"),
+    ("paper-fig3", "seed = 3"),
+    ("paper-fig3", "preset_mode = 2"),
+    ("paper-fig3", "preset_amplitude = 0.01"),
+    ("eigenmode-perturbation", "noise_amplitude = 0.1"),
+    ("eigenmode-perturbation", "seed = 3"),
+    ("constant-plus-noise", "preset_mode = 2"),
+    ("constant-plus-noise", "preset_amplitude = 0.01"),
+])
+def test_parse_rejects_keys_the_preset_ignores(tmp_path, capsys, preset, line):
+    key = line.split()[0]
+    text = f"preset = {preset}\n{line}\n"
+    with pytest.raises(ConfigError, match=f"^{key}: preset {preset} ignores it") as exc:
+        parse_config(text)
+    assert exc.value.key == key
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.025\n" + text)
+    assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
 
 
 def test_every_config_is_validated_when_built():
@@ -103,7 +129,10 @@ def test_parse_accepts_two_diffusivity_domains():
 
 def test_roundtrip_is_identity():
     for text in ("", "theta = 3e-4\nseed = 7\npreset = constant-plus-noise\n",
-                  "dx = 0.0125\neps = 0.2\nk_v = 1e8\nT = 12.5\n"):
+                  "dx = 0.0125\neps = 0.2\nk_v = 1e8\nT = 12.5\n",
+                  "preset = eigenmode-perturbation\nmass = 0.5\npreset_mode = 2\n"
+                  "preset_amplitude = 0.01\n",
+                  "mass = 0.8\nseed = 0\n"):  # defaults pass under any preset
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
@@ -278,7 +307,7 @@ def test_main_spectrum_writes_table(tmp_path):
     assert xi1 == pytest.approx(0.41588, abs=1e-4)
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text(FAST)
     bad = tmp_path / "bad.cfg"
@@ -291,11 +320,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "nope.cfg"),
                  "--out", out]) == 4
     assert main(["simulate", "--config", str(blow), "--out", out]) == 3
-    # finite diffusivities whose mesh ratios overflow: the factor rejects the
-    # operator before the first step
+    # finite diffusivities whose mesh ratios overflow: the assembly rejects
+    # the operator before the first step, names the key and warns nothing
     huge = tmp_path / "huge.cfg"
     huge.write_text(FAST + "D_vl = 1e308\nD_vr = 1e308\n")
-    assert main(["simulate", "--config", str(huge), "--out", out]) == 2
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(huge), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: D_vl: ")
 
 
 def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
@@ -15,7 +17,9 @@ from membrane_rd import (
     step,
 )
 from membrane_rd.fdm import (
+    _BLOCK_STEPS,
     BlowUpError,
+    _first_stop,
     kedem_katchalsky_residual,
     membrane_jump,
     midpoint_grid,
@@ -83,12 +87,13 @@ def cholesky_solver(op):
 
 
 def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8,
-                  solver=ldl_solver):
+                  solver=ldl_solver, rates=None):
     """Separate U and V increment steps, the stepper before its U/V stacking.
 
-    ``solver(op)`` gives each species' solve with its lhs.  Returns
-    (U, V, snapshots, n_steps, converged) with the snapshot rule of `run`;
-    raises BlowUpError with the step index and time.
+    One check after every step, without blocks.  ``solver(op)`` gives each
+    species' solve with its lhs, and ``rates``, a list, receives each step's
+    rate.  Returns (U, V, snapshots, n_steps, converged) with the snapshot
+    rule of `run`; raises BlowUpError with the step index and time.
     """
     ops = [assemble(p, s) for s in "uv"]
     solves = [solver(op) for op in ops]
@@ -116,6 +121,8 @@ def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8,
         if not all(np.all(np.isfinite(X)) for X in new):
             raise BlowUpError("non-finite state", step_index=it, t=it * dt)
         rate = max(np.max(np.abs(new[0] - U)), np.max(np.abs(new[1] - V))) / dt
+        if rates is not None:
+            rates.append(rate)
         (U, V), t = new, it * dt
         if targets and t >= targets[0] - 1e-12:
             snaps.append((t, U, V))
@@ -233,6 +240,19 @@ def test_assemble_species_coefficients_differ():
     assert kappa_u == pytest.approx(p.theta * kappa_v, rel=1e-14)
     with pytest.raises(ValueError):
         assemble(p, "w")
+
+
+@pytest.mark.parametrize("key", ["D_vl", "D_vr"])
+def test_assemble_names_the_key_whose_mesh_ratio_overflows(key):
+    # D*dt/dx^2 is inf for v, and finite for u = theta*v but its diagonal
+    # 1 + 2*mu overflows; neither may warn
+    p = coarse_params(**{key: 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for species in "uv":
+            message = f"^{key}: the mesh ratios of {species} overflow"
+            with pytest.raises(ValueError, match=message):
+                assemble(p, species)
 
 
 # --------------------------------------------------------------------- step
@@ -405,6 +425,79 @@ def test_run_batch_is_bitwise_each_run(mode, members, T, opts, stops):
         assert got.mass_series == want.mass_series
         seen.add(got.n_steps)
     assert sorted(seen) == stops
+
+
+def assert_matches_reference(got, p, initial, T, mode="nonlinear", **opts):
+    """``got`` is exactly what the per-step `reference_run` gives for p."""
+    try:
+        U, V, snaps, n_steps, converged = reference_run(p, *initial, T, mode, **opts)
+    except BlowUpError as exc:
+        assert isinstance(got, BlowUpError)
+        assert (got.step_index, got.t) == (exc.step_index, exc.t)
+        return
+    assert (got.n_steps, got.converged) == (n_steps, converged)
+    assert got.t_final == n_steps * p.dt
+    assert np.array_equal(got.u, U) and np.array_equal(got.v, V)
+    assert [t for t, _, _ in got.snapshots] == [t for t, _, _ in snaps]
+    for (_, U1, V1), (_, U2, V2) in zip(got.snapshots, snaps):
+        assert np.array_equal(U1, U2) and np.array_equal(V1, V2)
+
+
+@pytest.mark.parametrize("diffusivities, T, tol_step, stops", [
+    # snapshots end blocks of steps at steps 4, 7 and 13: one member stops
+    # inside the block 5..7, and three at steps 8, 11 and 12 of the block 8..13
+    ((1.0, 4.0, 2.0, 0.25), 2.0, 10, [11, 6, 8, 12]),
+    # no snapshot before step 63, so the first block is steps 1.._BLOCK_STEPS
+    # (160 unknowns leave the ring far below its bound): a stop on its last
+    # step, then one a step after it; the D = 0.5 member stops later
+    ((1.0, 0.5), 40.0, _BLOCK_STEPS - 1, [_BLOCK_STEPS, 34]),
+    ((1.0, 0.5), 40.0, _BLOCK_STEPS, [_BLOCK_STEPS + 1, 35]),
+], ids=["in_one_block", "on_block_end", "after_block_end"])
+def test_run_batch_stops_match_the_reference_loop(diffusivities, T, tol_step, stops):
+    # the members' rates fall strictly, and steady_tol is the first member's
+    # rate at tol_step, so that member stops one step later
+    params = [coarse_params(theta=0.5, D_vl=D, D_vr=D) for D in diffusivities]
+    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    rates = []
+    reference_run(params[0], *initials[0], tol_step * params[0].dt, steady_tol=0.0,
+                  rates=rates)
+    tol = rates[-1]
+    batch = run_batch(params, initials, T, steady_tol=tol)
+    assert [res.n_steps for res in batch] == stops
+    for p, initial, got in zip(params, initials, batch):
+        assert_matches_reference(got, p, initial, T, steady_tol=tol)
+
+
+def test_run_batch_blow_up_matches_the_reference_loop():
+    # snapshots end blocks at steps 7 and 13, and the middle member blows up
+    # at step 10, inside the block between them; the others run to step 100
+    params = [coarse_params(**kw) for kw in (dict(theta=7.8e-2),
+                                            dict(Theta_scheme=0.0, dt=1e-2),
+                                            dict(theta=3e-4))]
+    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    batch = run_batch(params, initials, 1.0)
+    assert [getattr(r, "step_index", None) for r in batch] == [None, 10, None]
+    assert [getattr(r, "n_steps", None) for r in batch] == [100, None, 100]
+    for p, initial, got in zip(params, initials, batch):
+        assert_matches_reference(got, p, initial, 1.0)
+
+
+def test_first_stop_reads_every_row_of_a_block():
+    # rates of three steps for two members; row j is the step into ring[j + 1]
+    ring = np.ones((4, 6))
+    rates = np.array([[1.0, 2.0], [1.0, 5e-9], [3.0, 1.0]])
+    assert _first_stop(rates, ring, 1e-8, True) == (1, False)  # a dip inside
+    assert _first_stop(rates, ring, 1e-8, False) is None
+    # an inf rate with a finite state (an overflowing difference) goes on
+    rates[0, 1] = np.inf
+    assert _first_stop(rates, ring, 1e-8, True) == (1, False)
+    ring[1, 4] = np.inf
+    assert _first_stop(rates, ring, 1e-8, True) == (0, True)
+    rates[0, 1] = 2.0
+    rates[1, 0] = np.nan
+    ring[1, 4], ring[2, 0] = 1.0, np.nan
+    # a blow-up on the row of the dip comes first
+    assert _first_stop(rates, ring, 1e-8, True) == (1, True)
 
 
 def test_run_batch_fails_a_bad_member_alone():
