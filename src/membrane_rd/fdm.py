@@ -59,6 +59,11 @@ which is the same loop at B = 1; `step` is one step of the kernel.
 A membrane permeability at or above ``PERMEABILITY_INF`` is stepped as
 that sentinel, the transparent membrane: a larger k would swamp the 1 of
 I + T*C in rounding and lose mass without changing the physics.
+
+scipy is imported on the first factor: ``_member`` imports ``pttrf`` and
+``_kernel`` imports ``pttrs`` where they are used, once per member or
+batch, so importing this module, and the analysis that uses its faces and
+grid, loads no scipy.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .model import (
     PERMEABILITY_INF,
@@ -77,8 +81,6 @@ from .model import (
     reaction,
     steady_state,
 )
-
-_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
 
 class BlowUpError(RuntimeError):
@@ -230,16 +232,26 @@ class _Member:
 
 def _member(operators, params: ModelParams,
             linearization: SteadyState | None) -> _Member:
+    from scipy.linalg.lapack import dpttrf
+
     op_u, op_v = operators
+    n = op_u.faces.size + 1
     # the v block's unused corner lhs[0, 0] == 0 is the U/V coupling
     lhs = np.hstack([op_u.lhs[:2], op_v.lhs[:2]])
     if not np.isfinite(lhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    diag, sub, info = _pttrf(lhs[1], lhs[0, 1:])
+    diag, sub, info = dpttrf(lhs[1], lhs[0, 1:])
+    if info < 0:
+        raise ValueError(f"pttrf: info = {info}")
     if info:
-        raise (LinAlgError if info > 0 else ValueError)(
-            f"pttrf: info = {info}, I + T*C is not positive definite")
-    return _Member(params=params, n=op_u.faces.size + 1, faces_u=op_u.faces,
+        # pivot info - 1 is not positive: the diffusivity of its side
+        # swamped the 1 of I + T*C in rounding
+        species, j = divmod(info - 1, n)
+        key = "D_vl" if j <= params.N_l else "D_vr"
+        raise np.linalg.LinAlgError(
+            f"{key}: the mesh ratios of {'uv'[species]} swamp the identity, "
+            f"I + T*C is not positive definite in rounding (pttrf: info = {info})")
+    return _Member(params=params, n=n, faces_u=op_u.faces,
                    faces_v=op_v.faces, diag=diag, sub=sub,
                    linearization=linearization)
 
@@ -270,6 +282,8 @@ def _kernel(members: list[_Member], mode: str):
     The kernel reuses the buffers made here; callers silence floating-point
     warnings once around their loop.
     """
+    from scipy.linalg.lapack import dpttrs  # a local of advance's closure
+
     if mode not in MODES:
         raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
     B = len(members)
@@ -342,7 +356,7 @@ def _kernel(members: list[_Member], mode: str):
                     np.multiply(s, dt, out=s)
                     np.add(part, s, out=part)
             # overwrite_b = 1: x is rhs, solved in place
-            x, info = _pttrs(diag, sub, rhs, 1)
+            x, info = dpttrs(diag, sub, rhs, 1)
             if info:
                 raise ValueError(f"pttrs: info = {info}")
             np.add(w, x, out=w_next)

@@ -169,13 +169,15 @@ class ModelParams:
 
 def h(u, alpha=1.0):
     """Reaction nonlinearity h(u) = alpha*u*(u-1)^2, non-negative on u >= 0."""
-    u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+    if type(u) is not float:  # a float, as in steady_state's bisection, goes as is
+        u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
     return alpha * u * (u - 1.0) ** 2
 
 
 def h_prime(u, alpha=1.0):
     """h'(u) = alpha*(1-u)*(1-3u) = alpha*(3u^2 - 4u + 1); h' > -1 for 0 < alpha < 3."""
-    u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+    if type(u) is not float:
+        u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
     return alpha * (3.0 * u * u - 4.0 * u + 1.0)
 
 

@@ -35,7 +35,6 @@ from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fdm import _face_coefficients
 from .model import PERMEABILITY_INF, ModelParams
@@ -316,8 +315,11 @@ def discrete_spectrum_oracle(params: ModelParams, N: int, n_max: int = 8) -> np.
     from the stepper's own face coefficients, and a dense symmetric
     tridiagonal eigensolver diagonalises it.  Fully independent of the root
     finding; the result also holds the membrane-transparent eigenvalues,
-    which the root family leaves out.
+    which the root family leaves out.  scipy's solver is imported on the
+    first call, so the rest of the module needs only numpy.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     dx = params.x_m / N
     if params.L / dx < 100:
         raise ValueError("oracle grid needs at least 100 cells")

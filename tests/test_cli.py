@@ -1,8 +1,13 @@
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import membrane_rd
 from membrane_rd.cli import (
     ConfigError,
     RunConfig,
@@ -329,6 +334,43 @@ def test_main_exit_codes(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["simulate", "--config", str(huge), "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: D_vl: ")
+    # finite mesh ratios so large that the 1 of I + T*C is lost in rounding:
+    # the factor fails at the left trace, and the key of that side is named
+    swamp = tmp_path / "swamp.cfg"
+    swamp.write_text(FAST + "D_vl = 1e306\ntheta = 0.5\n")
+    assert main(["simulate", "--config", str(swamp), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: D_vl: ")
+
+
+def test_analyze_and_spectrum_load_no_scipy(tmp_path):
+    # a fresh interpreter, as a shell loop over `membrane-rd analyze` starts
+    src = Path(membrane_rd.__file__).resolve().parents[1]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FAST)
+    sim = tmp_path / "sim.cfg"
+    sim.write_text("dx = 0.025\nT = 0.05\n")
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        import membrane_rd
+        from membrane_rd.cli import main
+
+        def scipy_modules():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        out = {str(tmp_path)!r}
+        assert main(["analyze", "--config", {str(cfg)!r}, "--out", out + "/an"]) == 0
+        assert main(["spectrum", "--config", {str(cfg)!r}, "--n-max", "50",
+                     "--out", out + "/sp"]) == 0
+        assert not scipy_modules(), scipy_modules()
+        assert main(["simulate", "--config", {str(sim)!r}, "--out", out + "/sim"]) == 0
+        assert "scipy.linalg" in sys.modules
+    """)
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "an" / "analysis.txt").exists()
+    assert (tmp_path / "sp" / "spectrum.csv").exists()
 
 
 def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):

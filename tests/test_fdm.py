@@ -255,6 +255,18 @@ def test_assemble_names_the_key_whose_mesh_ratio_overflows(key):
                 assemble(p, species)
 
 
+@pytest.mark.parametrize("key", ["D_vl", "D_vr"])
+def test_factor_names_the_key_whose_mesh_ratio_swamps_the_identity(key):
+    # finite, but 1 + 2*mu rounds to 2*mu: a pivot of L D L^T is not
+    # positive, on the side of the huge diffusivity
+    p = coarse_params(theta=0.5, **{key: 1e306})
+    ops = (assemble(p, "u"), assemble(p, "v"))
+    state = (np.zeros(build_grid(p).n_points),) * 2
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"^{key}: the mesh ratios of u swamp the identity"):
+        step(state, ops, p)
+
+
 # --------------------------------------------------------------------- step
 
 def test_step_equilibrium_is_fixed_point():

@@ -151,6 +151,44 @@ def test_steady_state_rejects_nonpositive_mass():
         steady_state(-1.0)
 
 
+# (M, eps, alpha) -> float.hex of u_bar, v_bar, fu, fv, gu, gv, as computed
+# before h and h' took plain floats without numpy
+STEADY_STATE_BITS = [
+    (0.8, 1.0, 1.0, ('0x1.8252c85493332p-1', '0x1.746d145051439p-5', '0x1.3d9d05f89d0e8p-2', '0x1.0000000000000p+0', '-0x1.3d9d05f89d0e8p-2', '-0x1.0000000000000p+0')),
+    (0.3, 1.0, 1.0, ('0x1.6f1b474440000p-3', '0x1.ee963e4458b6cp-4', '-0x1.847e4c3316336p-2', '0x1.0000000000000p+0', '0x1.847e4c3316336p-2', '-0x1.0000000000000p+0')),
+    (2.5, 1.0, 1.0, ('0x1.b10081af29200p+0', '0x1.9dfefca1af783p-1', '-0x1.68930eadddf84p+1', '0x1.0000000000000p+0', '0x1.68930eadddf84p+1', '-0x1.0000000000000p+0')),
+    (0.001, 0.05, 1.0, ('0x1.064671916872bp-11', '0x1.060348cd9c2e7p-11', '-0x1.3f5c23b795186p+4', '0x1.4000000000000p+4', '0x1.3f5c23b795186p+4', '-0x1.4000000000000p+4')),
+    (0.05, 0.25, 2.9, ('0x1.ac60682200002p-7', '0x1.2e817f910daabp-5', '-0x1.5ffac0c9fe4c0p+3', '0x1.0000000000000p+2', '0x1.5ffac0c9fe4c0p+3', '-0x1.0000000000000p+2')),
+    (1.7, 3.7, 0.4, ('0x1.8766ed4d8b0ccp+0', '0x1.5e622f2d3f78ep-3', '-0x1.a4060f37a04e1p-3', '0x1.14c1bacf914c1p-2', '0x1.a4060f37a04e1p-3', '-0x1.14c1bacf914c1p-2')),
+    (10.0, 1.0, 2.5, ('0x1.18bbb91251e00p+1', '0x1.f3a22376d7278p+2', '-0x1.0a504fd90dc50p+4', '0x1.0000000000000p+0', '0x1.0a504fd90dc50p+4', '-0x1.0000000000000p+0')),
+    (123.4, 0.01, 1.0, ('0x1.65cb5685c058ep+2', '0x1.d73ce4313d918p+6', '-0x1.c480342b752adp+12', '0x1.9000000000000p+6', '0x1.c480342b752adp+12', '-0x1.9000000000000p+6')),
+    (0.8, 0.5, 0.1, ('0x1.97ea077cb999ap-1', '0x1.af921ce1d10c8p-9', '0x1.cf03b107f5d87p-5', '0x1.0000000000000p+1', '-0x1.cf03b107f5d87p-5', '-0x1.0000000000000p+1')),
+    (1, 2.0, 1.5, ('0x1.0000000000000p+0', '0x0.0p+0', '-0x0.0p+0', '0x1.0000000000000p-1', '0x0.0p+0', '-0x1.0000000000000p-1')),
+    (0.6, 1.0, 2.99, ('0x1.ac09c6a48999ap-3', '0x1.90618314218d4p-2', '-0x1.c3a9a8846842ep-1', '0x1.0000000000000p+0', '0x1.c3a9a8846842ep-1', '-0x1.0000000000000p+0')),
+    (4.0 / 3.0, 0.001, 0.75, ('0x1.441ee7e1e6aaap+0', '0x1.1366d736e138cp-4', '-0x1.173b12c750d68p+9', '0x1.f400000000000p+9', '0x1.173b12c750d68p+9', '-0x1.f400000000000p+9')),
+]
+
+
+@pytest.mark.parametrize("M, eps, alpha, bits", STEADY_STATE_BITS)
+def test_steady_state_is_bitwise_pinned(M, eps, alpha, bits):
+    ss = steady_state(M, eps, alpha)
+    jac = ss.jac
+    got = (ss.u_bar, ss.v_bar, jac.fu, jac.fv, jac.gu, jac.gv)
+    assert all(type(x) is float for x in got)
+    assert tuple(x.hex() for x in got) == bits
+
+
+@pytest.mark.parametrize("f", [h, h_prime])
+def test_h_takes_floats_ints_and_numpy_scalars_alike(f):
+    for u in (-1e-3, 0.0, 0.3, 0.7545, 1.0, 2.5):
+        want = f(u, 1.3)
+        assert type(want) is float
+        for same in (np.float64(u), np.array(u), np.array([u])):
+            assert float(np.ravel(f(same, 1.3))[0]).hex() == want.hex()
+    for n in (0, 1, 2):
+        assert f(n, 1.3).hex() == f(float(n), 1.3).hex()
+
+
 def test_steady_state_turing_window(paper_steady):
     assert 1.0 / 3.0 < paper_steady.u_bar < 1.0
     assert 0.0 < paper_steady.v_bar < 4.0 / 27.0
