@@ -43,7 +43,6 @@ from .fdm import (
     BlowUpError,
     Grid,
     SimResult,
-    StepOperator,
     assemble,
     build_grid,
     midpoint_grid,
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "DispersionResult", "EigenMode", "Grid",
     "InstabilityRange", "Jacobian", "ModelParams", "PERMEABILITY_INF",
-    "SimResult", "StepOperator", "SteadyState", "assemble", "build_grid",
+    "SimResult", "SteadyState", "assemble", "build_grid",
     "conserved_mass", "count_unstable", "discrete_spectrum_oracle",
     "dispersion", "eigenfunction", "eigenvalues", "h", "h_prime",
     "initial_data", "instability_range", "midpoint_grid", "mode_eigenvector",

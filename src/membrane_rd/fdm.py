@@ -3,32 +3,37 @@
 Each side carries N+1 cell-averaged unknowns at spacing dx; the membrane
 value appears twice (left trace u_{N_l}, right trace u_{N_l+1} in global
 0-based numbering), which is what lets the scheme impose the transmission
-conditions on a jump.  Ghost points are eliminated into the boundary and
-membrane rows, giving globally tridiagonal update matrices
+conditions on a jump.  The operator of a species is its n-1 face
+coefficients f, the only record of it: the diffusive mesh ratios D*dt/dx^2
+inside the segments and kappa = dt*k/dx at the membrane face.  Face i
+carries the flux f_i (U_{i+1} - U_i), so C = dt*H is tridiagonal with
+(C U)_i = f_{i-1} (U_i - U_{i-1}) - f_i (U_{i+1} - U_i) and zero row and
+column sums: constants are fixed points and dx*sum(U+V) is conserved.
 
-    lhs U^{n+1} = rhs U^n + dt F^n
-
-with interior rows (-mu*T, 1+2*mu*T, -mu*T), one-sided Neumann end rows,
-and membrane rows coupling the two traces through kappa = dt*k/dx.  The
-row and column sums of both matrices are exactly 1, so constants are fixed
-points of the pure-diffusion update and dx*sum(U+V) is conserved.
-
-The step is evaluated in increment form,
+The theta-method step is evaluated in increment form,
 
     (I + T*C) (U^{n+1} - U^n) = dt F^n - C U^n,
 
-algebraically identical to the matrix form above (lhs = I + T*C,
-rhs = I - (1-T)*C), with C U computed as a difference of face fluxes.  That
-makes the discrete mass telescope exactly in floating point instead of to
-solver accuracy.
+with C U computed as a difference of face fluxes, so that the discrete
+mass telescopes exactly in floating point instead of to solver accuracy.
+I + T*C is symmetric positive definite and tridiagonal, and LAPACK
+``pttrf`` takes it as its diagonal d_i = 1 + T*f_i + T*f_{i-1} and its
+off-diagonal e = -T*f, both built from the faces.
+
+A diffusive mesh ratio above ``MESH_RATIO_MAX`` = 1e6 is refused by
+`assemble`, with its config key named.  The larger the ratio, the more of
+the 1 of I + T*C is lost in rounding and the more mass drifts: at most
+1e-11 over 1e5 steps at the bound, up to 1.3e-10 at 1e7 and 6e-5 over 500
+steps at 4e14 (D = 1e12 at dx = 1/200).  The same check refuses a ratio
+that overflows and a membrane face that is not finite.
 
 One kernel steps B >= 1 parameter sets (members) at once, as one stacked
 state w = [U_1 ... U_B, V_1 ... V_B].  Its faces are each block's own faces
 with an exact 0.0 at every block junction, so C is block diagonal.  I + T*C
-is symmetric positive definite and tridiagonal, factored once per member as
-L D L^T by LAPACK ``pttrf``: a diagonal D and the unit sub-diagonal of L.
-The batch factor joins the members' D and sub-diagonals with the same exact
-0.0 at every junction, and each step is one ``pttrs``, solving in place.
+is factored once per member as L D L^T by ``pttrf``: a diagonal D and the
+unit sub-diagonal of L.  The batch factor joins the members' D and
+sub-diagonals with the same exact 0.0 at every junction, and each step is
+one ``pttrs``, solving in place.
 A junction face carries a zero flux and adds nothing to the diagonal, and
 a zero sub-diagonal entry adds b*0 to both substitutions, so the flux
 difference and the solve do the same floating-point operations on every
@@ -121,21 +126,6 @@ class Grid:
         return slice(self.N_l + 1, self.n_points)
 
 
-@dataclass(frozen=True, eq=False)
-class StepOperator:
-    """Assembled tridiagonal operator for one species.
-
-    ``lhs`` = I + T*C uses banded (3, n) storage: row 0 the super-diagonal
-    (shifted right), row 1 the diagonal, row 2 the sub-diagonal (shifted
-    left).  ``faces`` are the n-1 face coefficients of C = dt*H (mesh
-    ratios D*dt/dx^2 inside the segments, dt*k/dx at the membrane face),
-    without the scheme weight.
-    """
-
-    lhs: np.ndarray
-    faces: np.ndarray
-
-
 def _grid(params: ModelParams, offset_l: float, offset_r: float) -> Grid:
     # point i of a side sits at the side's start + (i + offset)*dx, at the
     # dx the stepper's faces use
@@ -181,20 +171,17 @@ def _face_coefficients(params: ModelParams, D_l: float, D_r: float,
     return faces
 
 
-def _banded_from_faces(faces: np.ndarray, weight: float) -> np.ndarray:
-    # I + weight*C in (3, n) banded storage
-    n = faces.size + 1
-    ab = np.zeros((3, n))
-    ab[1] = 1.0
-    ab[1, :-1] += weight * faces
-    ab[1, 1:] += weight * faces
-    ab[0, 1:] = -weight * faces
-    ab[2, :-1] = -weight * faces
-    return ab
+#: largest diffusive mesh ratio D*dt/dx^2 that `assemble` accepts
+MESH_RATIO_MAX = 1e6
 
 
-def assemble(params: ModelParams, species: str) -> StepOperator:
-    """Tridiagonal theta-method operator for species 'u' or 'v'."""
+def assemble(params: ModelParams, species: str) -> np.ndarray:
+    """The n-1 face coefficients of C = dt*H for species 'u' or 'v'.
+
+    A diffusive mesh ratio above ``MESH_RATIO_MAX`` raises a ValueError that
+    names its config key, ``D_vl`` or ``D_vr`` (D_ul = theta*D_vl, ...), and
+    so does a membrane face that is not finite, naming ``k_u`` or ``k_v``.
+    """
     if species == "u":
         D_l, D_r, k = params.D_ul, params.D_ur, params.k_u
     elif species == "v":
@@ -202,16 +189,16 @@ def assemble(params: ModelParams, species: str) -> StepOperator:
     else:
         raise ValueError(f"species must be 'u' or 'v', got {species!r}")
     faces = _face_coefficients(params, D_l, D_r, k)
-    with np.errstate(over="ignore"):
-        lhs = _banded_from_faces(faces, params.Theta_scheme)
-    if not (np.isfinite(faces).all() and np.isfinite(lhs).all()):
-        # name the config key of the largest face (D_ul = theta*D_vl, ...)
-        i = int(np.argmax(faces))
-        key = ("D_vl" if i < params.N_l else f"k_{species}" if i == params.N_l
-               else "D_vr")
-        raise ValueError(f"{key}: the mesh ratios of {species} overflow, "
-                         "I + T*C is not finite")
-    return StepOperator(lhs=lhs, faces=faces)
+    for key, ratio in (("D_vl", faces[0]), ("D_vr", faces[-1])):
+        if not ratio <= MESH_RATIO_MAX:
+            raise ValueError(
+                f"{key}: the mesh ratio D*dt/dx^2 of {species} is {ratio:.3g}, "
+                f"above {MESH_RATIO_MAX:g}, where the 1 of I + T*C is lost in "
+                "rounding")
+    if not math.isfinite(faces[params.N_l]):
+        raise ValueError(f"k_{species}: the membrane face dt*k/dx of {species} "
+                         "is not finite")
+    return faces
 
 
 MODES = ("nonlinear", "linearized", "diffusion")
@@ -230,30 +217,24 @@ class _Member:
     linearization: SteadyState | None
 
 
-def _member(operators, params: ModelParams,
+def _member(faces, params: ModelParams,
             linearization: SteadyState | None) -> _Member:
     from scipy.linalg.lapack import dpttrf
 
-    op_u, op_v = operators
-    n = op_u.faces.size + 1
-    # the v block's unused corner lhs[0, 0] == 0 is the U/V coupling
-    lhs = np.hstack([op_u.lhs[:2], op_v.lhs[:2]])
-    if not np.isfinite(lhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    diag, sub, info = dpttrf(lhs[1], lhs[0, 1:])
-    if info < 0:
-        raise ValueError(f"pttrf: info = {info}")
+    faces_u, faces_v = faces
+    n = faces_u.size + 1
+    # I + T*C on [U; V] from the faces, 0.0 at the U/V seam: the diagonal
+    # d_i = 1 + T*f_i + T*f_{i-1}, summed in this order, and e = -T*f
+    T = params.Theta_scheme
+    tf = T * _join(faces)
+    d = np.ones(2 * n)
+    d[:-1] += tf
+    d[1:] += tf
+    diag, sub, info = dpttrf(d, _join([-T * f for f in faces]))
     if info:
-        # pivot info - 1 is not positive: the diffusivity of its side
-        # swamped the 1 of I + T*C in rounding
-        species, j = divmod(info - 1, n)
-        key = "D_vl" if j <= params.N_l else "D_vr"
-        raise np.linalg.LinAlgError(
-            f"{key}: the mesh ratios of {'uv'[species]} swamp the identity, "
-            f"I + T*C is not positive definite in rounding (pttrf: info = {info})")
-    return _Member(params=params, n=n, faces_u=op_u.faces,
-                   faces_v=op_v.faces, diag=diag, sub=sub,
-                   linearization=linearization)
+        raise np.linalg.LinAlgError(f"pttrf: info = {info}")
+    return _Member(params=params, n=n, faces_u=faces_u, faces_v=faces_v,
+                   diag=diag, sub=sub, linearization=linearization)
 
 
 def _join(blocks) -> np.ndarray:
@@ -401,15 +382,16 @@ def _step_alone(member: _Member, mode: str, state: np.ndarray) -> np.ndarray:
     return ring[1]
 
 
-def step(state, operators, params: ModelParams, mode: str = "nonlinear", *,
+def step(state, faces, params: ModelParams, mode: str = "nonlinear", *,
          linearization: SteadyState | None = None):
     """One theta-method step; the reaction is evaluated explicitly at time n.
 
+    ``faces`` is the pair ``(assemble(params, "u"), assemble(params, "v"))``.
     mode 'nonlinear' uses the full reactions, 'linearized' the Jacobian at
     the equilibrium applied to deviations, 'diffusion' switches the
     reactions off.  Returns the new (U, V).
     """
-    member = _member(operators, params, linearization)
+    member = _member(faces, params, linearization)
     # blow-up is detected below; keep the overflow path silent
     with np.errstate(over="ignore", invalid="ignore"):
         w = _step_alone(member, mode, np.concatenate(state, dtype=float))
@@ -514,13 +496,13 @@ def _start(index: int, params: ModelParams, initial, T: float, mode: str,
                              f"grid ({grid.n_points} points)")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{species}: non-finite entries")
-    operators = (assemble(params, "u"), assemble(params, "v"))
+    faces = (assemble(params, "u"), assemble(params, "v"))
     if mode == "linearized" and linearization is None:
         M = conserved_mass(U, V, grid)
         linearization = steady_state(M, params.eps, params.alpha)
     n_steps = int(np.ceil(T / params.dt - 1e-9))
     r = _Run(
-        index=index, member=_member(operators, params, linearization),
+        index=index, member=_member(faces, params, linearization),
         grid=grid, n_steps=n_steps,
         snapshot_steps=_snapshot_steps(T, params.dt, n_steps), U=U, V=V,
         snapshots=[], mass_series=[],

@@ -325,21 +325,21 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "nope.cfg"),
                  "--out", out]) == 4
     assert main(["simulate", "--config", str(blow), "--out", out]) == 3
-    # finite diffusivities whose mesh ratios overflow: the assembly rejects
-    # the operator before the first step, names the key and warns nothing
-    huge = tmp_path / "huge.cfg"
-    huge.write_text(FAST + "D_vl = 1e308\nD_vr = 1e308\n")
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["simulate", "--config", str(huge), "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("config error: D_vl: ")
-    # finite mesh ratios so large that the 1 of I + T*C is lost in rounding:
-    # the factor fails at the left trace, and the key of that side is named
-    swamp = tmp_path / "swamp.cfg"
-    swamp.write_text(FAST + "D_vl = 1e306\ntheta = 0.5\n")
-    assert main(["simulate", "--config", str(swamp), "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("config error: D_vl: ")
+    # one check refuses a diffusive mesh ratio D*dt/dx^2 above the bound
+    # before the first step, names the key and warns nothing: mesh ratios
+    # that lose the 1 of I + T*C in rounding (D = 1e12 drifted mass
+    # silently, 1e306 left the factor no positive pivot) and ones that
+    # overflow (1e308)
+    for keys in ("D_vl = 1e12\nD_vr = 1e12\ntheta = 3e-4\n",
+                 "D_vl = 1e306\ntheta = 0.5\n",
+                 "D_vl = 1e308\nD_vr = 1e308\n"):
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(FAST + keys)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(huge), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: D_vl: ")
 
 
 def test_analyze_and_spectrum_load_no_scipy(tmp_path):

@@ -9,6 +9,7 @@ from membrane_rd import (
     assemble,
     build_grid,
     conserved_mass,
+    fdm,
     initial_data,
     reaction,
     run,
@@ -18,6 +19,7 @@ from membrane_rd import (
 )
 from membrane_rd.fdm import (
     _BLOCK_STEPS,
+    MESH_RATIO_MAX,
     BlowUpError,
     _first_stop,
     kedem_katchalsky_residual,
@@ -35,14 +37,6 @@ def coarse_params(**kw):
     return make_params(**kw)
 
 
-def dense_from_banded(ab):
-    n = ab.shape[1]
-    A = np.diag(ab[1])
-    A += np.diag(ab[0, 1:], k=1)
-    A += np.diag(ab[2, :-1], k=-1)
-    return A
-
-
 def dense_from_faces(faces):
     """C = dt*H as a dense matrix, from the face coefficients alone."""
     n = faces.size + 1
@@ -55,21 +49,35 @@ def dense_from_faces(faces):
     return C
 
 
-def explicit_matrix(op, Theta):
+def implicit_matrix(faces, Theta):
+    """The implicit theta-method matrix I + T*C, dense."""
+    C = dense_from_faces(faces)
+    return np.eye(C.shape[0]) + Theta * C
+
+
+def explicit_matrix(faces, Theta):
     """The explicit theta-method matrix I - (1-T)*C, dense."""
-    C = dense_from_faces(op.faces)
+    C = dense_from_faces(faces)
     return np.eye(C.shape[0]) - (1.0 - Theta) * C
 
 
-def face_ratios(op, p):
+def face_ratios(faces, p):
     """(mu_l, mu_r, kappa): the faces inside each segment and at the membrane."""
-    return op.faces[0], op.faces[-1], op.faces[p.N_l]
+    return faces[0], faces[-1], faces[p.N_l]
 
 
-def ldl_solver(op):
-    """x -> lhs^-1 x by LAPACK's tridiagonal LDL^T pair, the stepper's solve."""
+def tridiagonal_from_faces(faces, Theta):
+    """(d, e): the diagonal and off-diagonal of I + T*C, summed as the stepper sums d."""
+    d = np.ones(faces.size + 1)
+    d[:-1] += Theta * faces
+    d[1:] += Theta * faces
+    return d, -Theta * faces
+
+
+def ldl_solver(faces, Theta):
+    """x -> (I + T*C)^-1 x by LAPACK's tridiagonal LDL^T pair, the stepper's solve."""
     pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
-    d, e, info = pttrf(op.lhs[1], op.lhs[0, 1:])
+    d, e, info = pttrf(*tridiagonal_from_faces(faces, Theta))
     assert info == 0
 
     def solve(b):
@@ -80,9 +88,12 @@ def ldl_solver(op):
     return solve
 
 
-def cholesky_solver(op):
-    """x -> lhs^-1 x by a banded Cholesky factor, independent of the stepper's."""
-    chol = cholesky_banded(op.lhs[:2], lower=False)
+def cholesky_solver(faces, Theta):
+    """x -> (I + T*C)^-1 x by a banded Cholesky factor, independent of the stepper's."""
+    d, e = tridiagonal_from_faces(faces, Theta)
+    ab = np.zeros((2, d.size))  # upper banded storage: row 0 the super-diagonal
+    ab[0, 1:], ab[1] = e, d
+    chol = cholesky_banded(ab, lower=False)
     return lambda b: cho_solve_banded((chol, False), b, check_finite=False)
 
 
@@ -90,13 +101,13 @@ def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8,
                   solver=ldl_solver, rates=None):
     """Separate U and V increment steps, the stepper before its U/V stacking.
 
-    One check after every step, without blocks.  ``solver(op)`` gives each
-    species' solve with its lhs, and ``rates``, a list, receives each step's
-    rate.  Returns (U, V, snapshots, n_steps, converged) with the snapshot
+    One check after every step, without blocks.  ``solver(faces, Theta)``
+    gives each species' solve with I + T*C, and ``rates``, a list, receives
+    each step's rate.  Returns (U, V, snapshots, n_steps, converged) with the snapshot
     rule of `run`; raises BlowUpError with the step index and time.
     """
-    ops = [assemble(p, s) for s in "uv"]
-    solves = [solver(op) for op in ops]
+    faces = [assemble(p, s) for s in "uv"]
+    solves = [solver(f, p.Theta_scheme) for f in faces]
     ss = steady_state(conserved_mass(u0, v0, build_grid(p)), p.eps, p.alpha)
     dt, n_steps = p.dt, int(np.ceil(T / p.dt - 1e-9))
     targets = [T / 2**j for j in range(6, -1, -1)]
@@ -112,8 +123,8 @@ def reference_run(p, u0, v0, T, mode="nonlinear", steady_tol=1e-8,
         else:
             fg = (None, None)
         new = []
-        for X, F, op, solve in zip((U, V), fg, ops, solves):
-            flux = op.faces * np.diff(X)
+        for X, F, f, solve in zip((U, V), fg, faces, solves):
+            flux = f * np.diff(X)
             div = np.empty_like(X)
             div[0], div[-1], div[1:-1] = -flux[0], flux[-1], flux[:-1] - flux[1:]
             b = -div if F is None else -div + dt * F
@@ -185,33 +196,35 @@ def test_midpoint_grid_tiles_segments():
 
 def test_assemble_membrane_rows_fully_implicit():
     p = coarse_params(Theta_scheme=1.0)
-    op = assemble(p, "u")
-    mu_l, mu_r, kappa = face_ratios(op, p)
+    faces = assemble(p, "u")
+    mu_l, mu_r, kappa = face_ratios(faces, p)
     assert mu_l == pytest.approx(p.D_ul * p.dt / p.dx**2, rel=1e-14)
     assert mu_r == pytest.approx(p.D_ur * p.dt / p.dx**2, rel=1e-14)
     assert kappa == pytest.approx(p.k_u * p.dt / p.dx, rel=1e-14)
+    lhs = implicit_matrix(faces, 1.0)
     i = p.N_l  # membrane-left row
-    assert op.lhs[1, i] == pytest.approx(1.0 + mu_l + kappa, rel=1e-14)
-    assert op.lhs[2, i - 1] == pytest.approx(-mu_l, rel=1e-14)
-    assert op.lhs[0, i + 1] == pytest.approx(-kappa, rel=1e-14)
+    assert lhs[i, i] == pytest.approx(1.0 + mu_l + kappa, rel=1e-14)
+    assert lhs[i, i - 1] == pytest.approx(-mu_l, rel=1e-14)
+    assert lhs[i, i + 1] == pytest.approx(-kappa, rel=1e-14)
     j = i + 1  # membrane-right row
-    assert op.lhs[1, j] == pytest.approx(1.0 + mu_r + kappa, rel=1e-14)
-    assert op.lhs[2, j - 1] == pytest.approx(-kappa, rel=1e-14)
-    assert op.lhs[0, j + 1] == pytest.approx(-mu_r, rel=1e-14)
+    assert lhs[j, j] == pytest.approx(1.0 + mu_r + kappa, rel=1e-14)
+    assert lhs[j, j - 1] == pytest.approx(-kappa, rel=1e-14)
+    assert lhs[j, j + 1] == pytest.approx(-mu_r, rel=1e-14)
     # fully implicit: the explicit matrix collapses to the identity
-    assert np.array_equal(explicit_matrix(op, 1.0), np.eye(p.N_l + p.N_r + 2))
+    assert np.array_equal(explicit_matrix(faces, 1.0), np.eye(p.N_l + p.N_r + 2))
 
 
 def test_assemble_sealed_membrane_decouples_blocks():
     p = coarse_params(k_v=0.0)
     for species in ("u", "v"):
-        op = assemble(p, species)
-        mu_l, _, kappa = face_ratios(op, p)
+        faces = assemble(p, species)
+        mu_l, _, kappa = face_ratios(faces, p)
+        lhs = implicit_matrix(faces, p.Theta_scheme)
         i = p.N_l
         assert kappa == 0.0
-        assert op.lhs[0, i + 1] == 0.0  # no coupling across the membrane
-        assert op.lhs[2, i] == 0.0
-        assert op.lhs[1, i] == pytest.approx(1.0 + mu_l)
+        assert lhs[i, i + 1] == 0.0  # no coupling across the membrane
+        assert lhs[i + 1, i] == 0.0
+        assert lhs[i, i] == pytest.approx(1.0 + mu_l)
 
 
 @pytest.mark.parametrize("Theta", [0.0, 0.37, 0.5, 1.0])
@@ -219,13 +232,9 @@ def test_assemble_sealed_membrane_decouples_blocks():
 def test_assemble_constant_preservation(Theta, k_v):
     p = coarse_params(Theta_scheme=Theta, k_v=k_v, dt=1e-3)
     for species in ("u", "v"):
-        op = assemble(p, species)
-        n = op.lhs.shape[1]
-        ones = np.ones(n)
-        lhs, rhs = dense_from_banded(op.lhs), explicit_matrix(op, Theta)
-        # the banded lhs is I + T*C for the C of the faces
-        assert np.allclose(lhs, np.eye(n) + Theta * dense_from_faces(op.faces),
-                           rtol=0.0, atol=1e-14)
+        faces = assemble(p, species)
+        ones = np.ones(faces.size + 1)
+        lhs, rhs = implicit_matrix(faces, Theta), explicit_matrix(faces, Theta)
         assert np.allclose(lhs @ ones, 1.0, atol=1e-12)
         assert np.allclose(rhs @ ones, 1.0, atol=1e-12)
         # row-sum identity: (lhs + rhs) @ 1 == 2
@@ -234,37 +243,58 @@ def test_assemble_constant_preservation(Theta, k_v):
 
 def test_assemble_species_coefficients_differ():
     p = coarse_params(theta=0.1)
-    op_u, op_v = assemble(p, "u"), assemble(p, "v")
-    (mu_u, _, kappa_u), (mu_v, _, kappa_v) = (face_ratios(op, p) for op in (op_u, op_v))
+    (mu_u, _, kappa_u), (mu_v, _, kappa_v) = (face_ratios(assemble(p, s), p)
+                                              for s in "uv")
     assert mu_u == pytest.approx(p.theta * mu_v, rel=1e-14)
     assert kappa_u == pytest.approx(p.theta * kappa_v, rel=1e-14)
     with pytest.raises(ValueError):
         assemble(p, "w")
 
 
+@pytest.mark.parametrize("species", ["u", "v"])
 @pytest.mark.parametrize("key", ["D_vl", "D_vr"])
-def test_assemble_names_the_key_whose_mesh_ratio_overflows(key):
-    # D*dt/dx^2 is inf for v, and finite for u = theta*v but its diagonal
-    # 1 + 2*mu overflows; neither may warn
-    p = coarse_params(**{key: 1e308})
+@pytest.mark.parametrize("D", ["at_bound", "1.01x_bound", 1e12, 1e306, 1e308],
+                         ids=["at_bound", "1.01x_bound", "1e12", "1e306", "1e308"])
+def test_assemble_bounds_the_mesh_ratio_and_names_its_key(D, key, species):
+    # above MESH_RATIO_MAX the 1 of I + T*C is lost in rounding: mass drifts
+    # silently at D = 1e12, the factor has no positive pivot at 1e306, and
+    # the ratio overflows at 1e308; one check refuses them all, naming the
+    # key and warning nothing
+    p = coarse_params(theta=0.5)
+    accepted = D == "at_bound"
+    if isinstance(D, str):
+        # the D that gives this species the mesh ratio D*dt/dx^2 just below
+        # the bound, or 1.01 times the bound (D_ul = theta*D_vl)
+        ratio = (1.0 - 1e-9 if accepted else 1.01) * MESH_RATIO_MAX
+        D = ratio * p.dx**2 / p.dt / (p.theta if species == "u" else 1.0)
+    p = coarse_params(theta=0.5, **{key: D})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not accepted:
+            message = rf"^{key}: the mesh ratio \S+ of {species} is "
+            with pytest.raises(ValueError, match=message):
+                assemble(p, species)
+            return
+        assert 0.99 * MESH_RATIO_MAX < assemble(p, species).max() <= MESH_RATIO_MAX
+    if species == "v":
+        # u's ratios are theta = 0.5 times v's, so the run steps: 1e5 steps
+        # at the bound keep c07's bound on the mass drift (measured: 3e-13
+        # for D_vl, 1.6e-12 for D_vr, and 1.3e-10 for D_vr at 1e7)
+        u0, v0 = initial_data("paper-fig3", build_grid(p))
+        res = run(p, (u0, v0), 1e5 * p.dt, steady_stop=False)
+        assert res.n_steps == 100_000
+        assert res.mass_drift < 1e-10
+
+
+def test_assemble_names_the_permeability_whose_membrane_face_is_not_finite():
+    # dt*k/dx overflows at the sentinel k_v = 1e8 (and k_u = theta*k_v)
+    # while the diffusive mesh ratios stay far below the bound
+    p = coarse_params(eps=1e308, dt=1e300, D_vl=1e-300, D_vr=1e-300, k_v=1e8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for species in "uv":
-            message = f"^{key}: the mesh ratios of {species} overflow"
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=f"^k_{species}: the membrane face"):
                 assemble(p, species)
-
-
-@pytest.mark.parametrize("key", ["D_vl", "D_vr"])
-def test_factor_names_the_key_whose_mesh_ratio_swamps_the_identity(key):
-    # finite, but 1 + 2*mu rounds to 2*mu: a pivot of L D L^T is not
-    # positive, on the side of the huge diffusivity
-    p = coarse_params(theta=0.5, **{key: 1e306})
-    ops = (assemble(p, "u"), assemble(p, "v"))
-    state = (np.zeros(build_grid(p).n_points),) * 2
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=f"^{key}: the mesh ratios of u swamp the identity"):
-        step(state, ops, p)
 
 
 # --------------------------------------------------------------------- step
@@ -275,8 +305,8 @@ def test_step_equilibrium_is_fixed_point():
     ss = steady_state(0.8)
     U = np.full(grid.n_points, ss.u_bar)
     V = np.full(grid.n_points, ss.v_bar)
-    ops = (assemble(p, "u"), assemble(p, "v"))
-    U2, V2 = step((U, V), ops, p)
+    faces = (assemble(p, "u"), assemble(p, "v"))
+    U2, V2 = step((U, V), faces, p)
     assert np.max(np.abs(U2 - U)) < 1e-12
     assert np.max(np.abs(V2 - V)) < 1e-12
 
@@ -287,10 +317,10 @@ def test_step_pure_diffusion_preserves_mass():
     rng = np.random.default_rng(0)
     U = rng.uniform(0, 1, grid.n_points)
     V = rng.uniform(0, 1, grid.n_points)
-    ops = (assemble(p, "u"), assemble(p, "v"))
+    faces = (assemble(p, "u"), assemble(p, "v"))
     m0u, m0v = grid.dx * U.sum(), grid.dx * V.sum()
     for _ in range(50):
-        U, V = step((U, V), ops, p, mode="diffusion")
+        U, V = step((U, V), faces, p, mode="diffusion")
     assert grid.dx * U.sum() == pytest.approx(m0u, abs=1e-12)
     assert grid.dx * V.sum() == pytest.approx(m0v, abs=1e-12)
 
@@ -300,13 +330,13 @@ def test_step_matches_matrix_form():
     p = coarse_params(Theta_scheme=0.7, dt=1e-3, k_v=3.0)
     grid = build_grid(p)
     u0, v0 = initial_data("paper-fig3", grid)
-    ops = (assemble(p, "u"), assemble(p, "v"))
-    U1, V1 = step((u0, v0), ops, p)
+    faces = (assemble(p, "u"), assemble(p, "v"))
+    U1, V1 = step((u0, v0), faces, p)
     f, g = reaction(u0, v0, p.eps, p.alpha)
-    U2 = np.linalg.solve(dense_from_banded(ops[0].lhs),
-                         explicit_matrix(ops[0], p.Theta_scheme) @ u0 + p.dt * f)
-    V2 = np.linalg.solve(dense_from_banded(ops[1].lhs),
-                         explicit_matrix(ops[1], p.Theta_scheme) @ v0 + p.dt * g)
+    U2 = np.linalg.solve(implicit_matrix(faces[0], p.Theta_scheme),
+                         explicit_matrix(faces[0], p.Theta_scheme) @ u0 + p.dt * f)
+    V2 = np.linalg.solve(implicit_matrix(faces[1], p.Theta_scheme),
+                         explicit_matrix(faces[1], p.Theta_scheme) @ v0 + p.dt * g)
     assert np.max(np.abs(U1 - U2)) < 1e-11
     assert np.max(np.abs(V1 - V2)) < 1e-11
 
@@ -315,11 +345,11 @@ def test_step_linearized_needs_steady_state():
     p = coarse_params()
     grid = build_grid(p)
     U = np.zeros(grid.n_points)
-    ops = (assemble(p, "u"), assemble(p, "v"))
+    faces = (assemble(p, "u"), assemble(p, "v"))
     with pytest.raises(ValueError, match="steady state"):
-        step((U, U), ops, p, mode="linearized")
+        step((U, U), faces, p, mode="linearized")
     with pytest.raises(ValueError, match="mode"):
-        step((U, U), ops, p, mode="implicit")
+        step((U, U), faces, p, mode="implicit")
 
 
 def test_step_blow_up_detected():
@@ -527,6 +557,22 @@ def test_run_batch_fails_a_bad_member_alone():
 
 
 # ---------------------------------------------------------------------- run
+
+def test_run_looks_up_assemble_and_reaction_in_its_module(monkeypatch):
+    # a per-layer timer (perfbench/layers.py) wraps fdm.assemble and
+    # fdm.reaction where run finds them: it must call assemble once per
+    # species and reaction once per step
+    calls = dict.fromkeys(("assemble", "reaction"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(fdm, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fdm, name, counted)
+    p = coarse_params()
+    res = run(p, initial_data("paper-fig3", build_grid(p)), 1.0, steady_stop=False)
+    assert res.n_steps == 100
+    assert calls == {"assemble": 2, "reaction": 100}
+
 
 def test_run_converges_to_equilibrium_at_critical_ratio(paper_steady):
     tc = 0.3101693089477196
