@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fdm, spectrum, stability
-from .model import PRESETS, ModelParams, conserved_mass, initial_data, steady_state
+from .model import (PRESETS, ModelParams, SteadyState, conserved_mass, initial_data,
+                    steady_state)
 
 
 class ConfigError(ValueError):
@@ -144,92 +145,78 @@ def _initial_state(cfg: RunConfig, grid):
 
 @dataclass(eq=False)
 class AnalysisReport:
-    M: float
-    u_bar: float
-    v_bar: float
-    jac: object
-    ode: object
-    theta_c: float
-    rng: object
-    modes: list
-    unstable: list
-    count: int
-    dominant: object | None  # EigenMode with the largest growth rate
-    verdict: str
+    ss: SteadyState  # at the mass of the initial data
+    ode: stability.OdeStability
+    rng: stability.InstabilityRange
+    modes: list  # EigenModes 0..n, n = max(8, last unstable mode + 2)
+    unstable: list  # the EigenModes in rng
+    dominant: spectrum.EigenMode | None  # the one with the largest growth rate
 
 
 def analyze(cfg: RunConfig) -> AnalysisReport:
     grid = fdm.build_grid(cfg)
     u0, v0 = _initial_state(cfg, grid)
-    M = conserved_mass(u0, v0, grid)
-    ss = steady_state(M, cfg.eps, cfg.alpha)
+    ss = steady_state(conserved_mass(u0, v0, grid), cfg.eps, cfg.alpha)
     ode = stability.ode_stability(ss.jac)
     rng = stability.instability_range(cfg.theta, ss.jac)
-    # one spectrum serves the count and the listed modes (at most cap + 2)
+    # one spectrum serves the count and the listed modes; the modes past the
+    # cap lie above eta_plus
     n_cap = 0 if rng.is_empty else spectrum.unstable_mode_cap(rng, cfg)
+    if n_cap + 2 > spectrum.MAX_MODES:
+        raise ConfigError("theta", f"mode cap {n_cap} for eta_plus = "
+                                   f"{_g(rng.eta_plus)} is past the "
+                                   f"{spectrum.MAX_MODES} modes that are solved")
     modes = spectrum.eigenvalues(cfg, max(8, n_cap + 2))
-    count, hits = spectrum.count_unstable(rng, cfg, with_modes=True, modes=modes)
+    hits = [m for m in modes if m.eta in rng]
     n_show = max(8, (hits[-1].n + 2) if hits else 0)
-    modes = modes[:n_show + 1]
-    dominant = None
-    if hits:
-        growth = [stability.dispersion(m.eta, cfg.theta, ss.jac).max_re
-                  for m in hits]
-        dominant = hits[int(np.argmax(growth))]
-    verdict = (f"pattern expected ({count} unstable modes)" if count
-               else "converges to equilibrium")
-    return AnalysisReport(
-        M=M, u_bar=ss.u_bar, v_bar=ss.v_bar, jac=ss.jac, ode=ode,
-        theta_c=rng.theta_c, rng=rng, modes=modes,
-        unstable=[m.eta for m in hits], count=count, dominant=dominant,
-        verdict=verdict,
-    )
+    dominant = max(hits, default=None,
+                   key=lambda m: stability.dispersion(m.eta, cfg.theta, ss.jac).max_re)
+    return AnalysisReport(ss=ss, ode=ode, rng=rng, modes=modes[:n_show + 1],
+                          unstable=hits, dominant=dominant)
 
 
 def _format_analysis(cfg: RunConfig, rep: AnalysisReport) -> str:
-    rng, ode = rep.rng, rep.ode
+    ss, ode, rng = rep.ss, rep.ode, rep.rng
+    count = len(rep.unstable)
     out = [
         "# stability analysis",
-        f"M = {_g(rep.M)}",
-        f"u_bar = {_g(rep.u_bar)}",
-        f"v_bar = {_g(rep.v_bar)}",
-        f"fu = {_g(rep.jac.fu)}",
-        f"fv = {_g(rep.jac.fv)}",
-        f"gu = {_g(rep.jac.gu)}",
-        f"gv = {_g(rep.jac.gv)}",
+        f"M = {_g(ss.M)}",
+        f"u_bar = {_g(ss.u_bar)}",
+        f"v_bar = {_g(ss.v_bar)}",
+        f"fu = {_g(ss.jac.fu)}",
+        f"fv = {_g(ss.jac.fv)}",
+        f"gu = {_g(ss.jac.gu)}",
+        f"gv = {_g(ss.jac.gv)}",
         f"tr = {_g(ode.tr)}",
         f"det = {_g(ode.det)}",
         f"det_borderline = {ode.det_borderline}",
         f"ode_stable = {ode.stable}",
         f"activator_inhibitor = {ode.activator_inhibitor}",
         f"theta = {_g(cfg.theta)}",
-        f"theta_c = {_g(rep.theta_c)}",
+        f"theta_c = {_g(rng.theta_c)}",
         f"eta_minus = {'none' if rng.is_empty else _g(rng.eta_minus)}",
         f"eta_plus = {'none' if rng.is_empty else _g(rng.eta_plus)}",
-        f"unstable_count = {rep.count}",
+        f"unstable_count = {count}",
         f"dominant_mode = {rep.dominant.n if rep.dominant else 'none'}",
-        f"verdict = {rep.verdict}",
+        "verdict = " + (f"pattern expected ({count} unstable modes)" if count
+                        else "converges to equilibrium"),
         "# modes: n, eta, lambda, residual, unstable",
     ]
-    lo = -1.0 if rng.is_empty else rng.eta_minus
-    hi = -1.0 if rng.is_empty else rng.eta_plus
     for m in rep.modes:
-        flag = int(m.eta > 0.0 and lo < m.eta < hi)
-        out.append(
-            f"mode[{m.n}] = {_g(m.eta)} {_g(m.lam)} {_g(m.residual)} {flag}"
-        )
+        out.append(f"mode[{m.n}] = {_g(m.eta)} {_g(m.lam)} {_g(m.residual)} "
+                   f"{int(m.eta in rng)}")
     return "\n".join(out) + "\n"
 
 
-def cmd_analyze(cfg: RunConfig, out_dir: str | Path | None = None) -> AnalysisReport:
+def _write(out_dir: str | Path, name: str, text: str):
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text, encoding="utf-8")
+
+
+def cmd_analyze(cfg: RunConfig, out_dir: str | Path) -> AnalysisReport:
     rep = analyze(cfg)
-    text = _format_analysis(cfg, rep)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "analysis.txt").write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(out_dir, "analysis.txt", _format_analysis(cfg, rep))
     return rep
 
 
@@ -334,7 +321,7 @@ def _write_simulation(cfg: RunConfig, res: fdm.SimResult, out_dir: str | Path,
 
 # ------------------------------------------------------------------ spectrum
 
-def cmd_spectrum(cfg: RunConfig, n_max: int, out_dir: str | Path | None = None) -> list:
+def cmd_spectrum(cfg: RunConfig, n_max: int, out_dir: str | Path) -> list:
     modes = spectrum.eigenvalues(cfg, n_max)
     rows = ["n,eta,lambda,xi_over_pi,residual,degenerate_zero"]
     for m in modes:
@@ -342,13 +329,7 @@ def cmd_spectrum(cfg: RunConfig, n_max: int, out_dir: str | Path | None = None) 
             f"{m.n},{_g(m.eta)},{_g(m.lam)},{_g(m.b_n / np.pi)},"
             f"{_g(m.residual)},{int(m.degenerate_zero)}"
         )
-    text = "\n".join(rows) + "\n"
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "spectrum.csv").write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(out_dir, "spectrum.csv", "\n".join(rows) + "\n")
     return modes
 
 
@@ -364,17 +345,22 @@ def _sweep_child(cfg: RunConfig, param: str, value: float) -> RunConfig:
                    out_dir=str(Path(cfg.out_dir) / f"{param}_{value:g}"))
 
 
+# the columns of sweep_summary.csv between value and status, which a
+# failed child leaves empty
+_SUMMARY_COLUMNS = ("count", "converged", "jump_u", "jump_v", "supvar_l",
+                    "supvar_r", "crossings_l", "crossings_r", "mass_drift")
+
+
 def _child_summary(rep: AnalysisReport, res: fdm.SimResult) -> dict:
-    U = res.u
-    var_l, var_r = fdm.side_variation(U, res.grid)
-    sc_l, sc_r = fdm.sign_changes(U, rep.u_bar, res.grid)
-    return {
-        "count": rep.count, "converged": res.converged,
-        "jump_u": res.jump[0], "jump_v": res.jump[1],
-        "supvar_l": var_l, "supvar_r": var_r,
-        "crossings_l": sc_l, "crossings_r": sc_r,
-        "mass_drift": res.mass_drift,
-    }
+    var_l, var_r = fdm.side_variation(res.u, res.grid)
+    sc_l, sc_r = fdm.sign_changes(res.u, rep.ss.u_bar, res.grid)
+    return dict(zip(_SUMMARY_COLUMNS, (len(rep.unstable), res.converged,
+                                       *res.jump, var_l, var_r, sc_l, sc_r,
+                                       res.mass_drift)))
+
+
+def _cell(value) -> str:
+    return _g(value) if isinstance(value, float) else str(int(value))
 
 
 def _failure(exc: Exception) -> dict:
@@ -419,25 +405,14 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
         except Exception as exc:
             results[row] = _failure(exc)
 
-    header = ("param,value,count,converged,jump_u,jump_v,supvar_l,supvar_r,"
-              "crossings_l,crossings_r,mass_drift,status")
-    rows = [header]
+    rows = [",".join(("param", "value", *_SUMMARY_COLUMNS, "status"))]
     summary = []
     for v, r in zip(values, results):
-        if "error" in r:
-            rows.append(f"{param},{_g(v)},,,,,,,,,,{r['error']}")
-        else:
-            rows.append(
-                f"{param},{_g(v)},{r['count']},{int(r['converged'])},"
-                f"{_g(r['jump_u'])},{_g(r['jump_v'])},{_g(r['supvar_l'])},"
-                f"{_g(r['supvar_r'])},{r['crossings_l']},{r['crossings_r']},"
-                f"{_g(r['mass_drift'])},ok"
-            )
+        cells = ([""] * len(_SUMMARY_COLUMNS) if "error" in r
+                 else [_cell(r[c]) for c in _SUMMARY_COLUMNS])
+        rows.append(",".join((param, _g(v), *cells, r.get("error", "ok"))))
         summary.append({"param": param, "value": v, **r})
-    out = Path(base.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep_summary.csv").write_text("\n".join(rows) + "\n",
-                                           encoding="utf-8")
+    _write(base.out_dir, "sweep_summary.csv", "\n".join(rows) + "\n")
     return summary
 
 
@@ -447,7 +422,7 @@ def _parse_sweep_values(cfg: RunConfig, text: str) -> list[float]:
         tok = tok.strip()
         if tok == "theta_c":
             rep = analyze(replace(cfg, command="analyze"))
-            values.append(rep.theta_c)
+            values.append(rep.rng.theta_c)
             continue
         try:
             values.append(float(tok))

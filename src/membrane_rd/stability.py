@@ -71,6 +71,12 @@ class InstabilityRange:
     def is_empty(self) -> bool:
         return self.eta_minus is None
 
+    def __contains__(self, eta: float) -> bool:
+        """Whether the mode of eigenvalue eta grows: eta_minus < eta < eta_plus
+        in a non-empty range, and eta > 0 (the constant mode never counts)."""
+        return (self.eta_minus is not None and eta > 0.0
+                and self.eta_minus < eta < self.eta_plus)
+
 
 def ode_stability(jac: Jacobian) -> OdeStability:
     """Classify the diffusion-free equilibrium.

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import membrane_rd
+from membrane_rd import spectrum, stability
 from membrane_rd.cli import (
     ConfigError,
     RunConfig,
@@ -125,11 +126,11 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, cmd, line):
     assert not (tmp_path / "o").exists()
 
 
-def test_parse_accepts_two_diffusivity_domains():
+def test_parse_accepts_two_diffusivity_domains(tmp_path):
     cfg = parse_config("D_vl = 0.1\nD_vr = 0.01\n")
     assert cfg.nu_D == pytest.approx(0.1)
     # the spectrum of a two-diffusivity domain is solved, not refused
-    assert cmd_analyze(cfg, None).modes[1].eta > 0.0
+    assert cmd_analyze(cfg, tmp_path).modes[1].eta > 0.0
 
 
 def test_roundtrip_is_identity():
@@ -148,9 +149,9 @@ def test_roundtrip_is_identity():
 
 def test_analyze_single_mode_case(tmp_path):
     rep = cmd_analyze(parse_config("theta = 7.8e-2\n"), tmp_path)
-    assert rep.theta_c == pytest.approx(0.3101, abs=1e-3)
+    assert rep.rng.theta_c == pytest.approx(0.3101, abs=1e-3)
     assert rep.rng.eta_plus == pytest.approx(2.97, abs=0.01)
-    assert rep.count == 1
+    assert len(rep.unstable) == 1
     assert rep.dominant.n == 1
     text = (tmp_path / "analysis.txt").read_text()
     assert "unstable_count = 1" in text
@@ -160,17 +161,16 @@ def test_analyze_single_mode_case(tmp_path):
 def test_analyze_at_critical_ratio(tmp_path):
     tc = 0.3101693089477196
     rep = cmd_analyze(parse_config(f"theta = {tc!r}\n"), tmp_path)
-    assert rep.count == 0
-    assert rep.verdict == "converges to equilibrium"
+    assert rep.unstable == [] and rep.dominant is None
     assert "converges to equilibrium" in (tmp_path / "analysis.txt").read_text()
 
 
 def test_analyze_permeability_cases(tmp_path):
     rep = cmd_analyze(parse_config("theta = 1e-2\nk_v = 0\n"), tmp_path)
-    assert rep.count == 0
+    assert rep.unstable == []
     rep = cmd_analyze(parse_config("theta = 1e-2\nk_v = 1e-2\n"), tmp_path)
-    assert rep.count == 1
-    assert rep.unstable[0] == pytest.approx(0.04, abs=1e-3)
+    assert len(rep.unstable) == 1
+    assert rep.unstable[0].eta == pytest.approx(0.04, abs=1e-3)
 
 
 def test_analyze_report_numbers_are_full_precision(tmp_path):
@@ -178,7 +178,53 @@ def test_analyze_report_numbers_are_full_precision(tmp_path):
     text = (tmp_path / "analysis.txt").read_text()
     u_bar = float([l for l in text.splitlines()
                    if l.startswith("u_bar")][0].split("=")[1])
-    assert u_bar == rep.u_bar  # no precision lost in the report
+    assert u_bar == rep.ss.u_bar  # no precision lost in the report
+
+
+def test_analyze_looks_up_eigenvalues_and_dispersion_in_their_modules(
+        tmp_path, monkeypatch):
+    # a per-layer timer (perfbench/layers.py) wraps spectrum.eigenvalues and
+    # stability.dispersion where analyze finds them: one spectrum serves the
+    # whole report, and each of the 6 unstable modes gets one growth rate
+    calls = {}
+    for module, name in ((spectrum, "eigenvalues"), (stability, "dispersion")):
+        calls[name] = 0
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    rep = cmd_analyze(parse_config("theta = 3e-4\n"), tmp_path)
+    assert len(rep.unstable) == 6
+    assert calls == {"eigenvalues": 1, "dispersion": 6}
+
+
+@pytest.mark.parametrize("theta, eta_plus", [
+    ("1e-20", "3.1016930894771958e+19"),  # 1.8e9 modes, 13 GiB of roots
+    ("1e-300", "3.1016930894771954e+299"),
+    ("1e-310", "inf"),  # a subnormal theta: eta_plus overflows
+])
+def test_tiny_theta_is_refused_before_the_spectrum(tmp_path, capsys, monkeypatch,
+                                                   theta, eta_plus):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues called")
+    monkeypatch.setattr(spectrum, "eigenvalues", refuse)
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(f"theta = {theta}\n")
+    assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: theta: mode cap 200001 for eta_plus = {eta_plus} "
+        "is past the 100000 modes that are solved\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_spectrum_refuses_more_than_max_modes(tmp_path, capsys):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("")
+    n = str(spectrum.MAX_MODES + 1)
+    assert main(["spectrum", "--config", str(cfgf), "--n-max", n,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: n_max must be between")
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------------ simulate
@@ -288,6 +334,16 @@ def test_sweep_records_child_failures_and_continues(tmp_path):
     assert "theta: must be finite" in summary[2]["error"]
     rows = (tmp_path / "sweep_summary.csv").read_text().splitlines()
     assert "ok" in rows[1] and "theta" in rows[2] and rows[4].endswith(",ok")
+
+
+def test_sweep_records_a_tiny_theta_child_and_continues(tmp_path):
+    cfg = parse_config("dx = 0.05\nT = 5\n")
+    summary = cmd_sweep(cfg, "theta", [1e-2, 1e-20, 2e-2], tmp_path)
+    assert "error" not in summary[0] and "error" not in summary[2]
+    assert summary[1]["error"].startswith("ConfigError: theta: ")
+    rows = (tmp_path / "sweep_summary.csv").read_text().splitlines()
+    assert rows[2].startswith("theta,9.9999999999999995e-21,,,,,,,,,,ConfigError")
+    assert rows[1].endswith(",ok") and rows[3].endswith(",ok")
 
 
 def test_sweep_validates_arguments(tmp_path):

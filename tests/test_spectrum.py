@@ -170,7 +170,7 @@ def test_bracket_count_matches_sign_change_scan():
 
 
 def test_a_shorter_list_is_a_prefix():
-    # each root stops on its own, so count_unstable may take a prefix
+    # each root stops on its own, so analyze may list a prefix of its spectrum
     for p in (make_params(k_v=1.0, x_m=0.3), make_params(k_v=10.0, D_vr=0.3)):
         assert eigenvalues(p, 40)[:9] == eigenvalues(p, 8)
 

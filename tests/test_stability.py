@@ -187,6 +187,9 @@ def test_range_paper_eta_plus_values(paper_jac):
         rng = instability_range(theta, paper_jac)
         assert rng.eta_minus == 0.0
         assert rng.eta_plus == pytest.approx(expect, abs=tol)
+        # the band is open, and eta = 0 (the constant mode) never grows
+        assert 0.0 not in rng and rng.eta_plus not in rng
+        assert 1e-300 in rng and 0.5 * rng.eta_plus in rng
 
 
 def test_range_closed_form_for_family(paper_steady):
@@ -202,6 +205,9 @@ def test_range_empty_at_and_above_critical(paper_jac):
     tc = theta_critical(paper_jac)
     assert instability_range(tc, paper_jac).is_empty
     assert instability_range(2 * tc, paper_jac).is_empty
+    for theta in (tc, 2 * tc):
+        empty = instability_range(theta, paper_jac)
+        assert not any(eta in empty for eta in (0.0, 1e-3, 1.0, 3.0, 1e6))
     assert instability_range(0.999 * tc, paper_jac).is_empty is False
 
 
@@ -213,6 +219,11 @@ def test_range_quadratic_roots_are_zeros_of_p():
             # relative residual of p at the endpoints
             scale = theta * eta * eta + abs(GENERIC.det) + 1.0
             assert abs(p_polynomial(eta, theta, GENERIC)) / scale < 1e-8
+            assert eta not in rng
+        # det > 0 lifts eta_minus off 0: the modes below it are stable
+        assert rng.eta_minus > 0.0
+        assert 0.5 * rng.eta_minus not in rng and 0.0 not in rng
+        assert rng.eta_min in rng
 
 
 def test_range_bifurcation_legs_det_positive():
