@@ -39,9 +39,10 @@ class RunConfig(ModelParams):
     """A problem and how to run it; parse -> serialize -> parse is the identity.
 
     The problem keys are the `ModelParams` fields, validated and resolved
-    (k_u, dt, N_l, N_r) when the config is built; the keys added here say
-    how to start, run and write it.  A start key that the chosen preset does
-    not read (``_PRESET_KEYS``) must keep its default.
+    (k_u, dt) when the config is built; the keys added here say how to
+    start, run and write it.  A start key that the chosen preset does not
+    read (``_PRESET_KEYS``) must keep its default, and ``preset_mode`` must
+    lie in [1, ``spectrum.MAX_MODES``] when it is read.
     """
 
     preset: str = "paper-fig3"
@@ -52,7 +53,6 @@ class RunConfig(ModelParams):
     T: float = 1000.0
     seed: int = 0
     out_dir: str = "out"
-    command: str = ""
 
     def __post_init__(self):
         try:
@@ -70,6 +70,10 @@ class RunConfig(ModelParams):
             if self.preset not in readers and getattr(self, key) != default:
                 raise ConfigError(key, f"preset {self.preset} ignores it "
                                        f"(read by {' and '.join(readers)})")
+        if not 1 <= self.preset_mode <= spectrum.MAX_MODES:
+            raise ConfigError("preset_mode", f"eigenmode index must be between 1 "
+                                             f"and {spectrum.MAX_MODES}, got "
+                                             f"{self.preset_mode}")
 
 
 # the run keys that only some presets read
@@ -154,6 +158,10 @@ class AnalysisReport:
 
 
 def analyze(cfg: RunConfig) -> AnalysisReport:
+    if not cfg.coupled:
+        raise ConfigError("k_u", f"{cfg.k_u!r} is not theta*k_v = "
+                                 f"{cfg.theta * cfg.k_v!r}: the species share no "
+                                 "eigenbasis, so the modal analysis does not apply")
     grid = fdm.build_grid(cfg)
     u0, v0 = _initial_state(cfg, grid)
     ss = steady_state(conserved_mass(u0, v0, grid), cfg.eps, cfg.alpha)
@@ -341,7 +349,7 @@ _SWEEP_PARAMS = ("theta", "k_v", "eps")
 def _sweep_child(cfg: RunConfig, param: str, value: float) -> RunConfig:
     # the coupled regime k_u = theta*k_v, and for eps the dt cap, are re-derived
     return replace(cfg, **{param: value}, k_u=None,
-                   dt=None if param == "eps" else cfg.dt, command="simulate",
+                   dt=None if param == "eps" else cfg.dt,
                    out_dir=str(Path(cfg.out_dir) / f"{param}_{value:g}"))
 
 
@@ -368,7 +376,7 @@ def _failure(exc: Exception) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
-              out_dir: str | Path | None = None) -> list[dict]:
+              out_dir: str | Path) -> list[dict]:
     """One simulation per value, all stepped together by `fdm.run_batch`.
 
     A child that fails (its config, analysis, run or files) is recorded in
@@ -378,7 +386,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
         raise ConfigError("param", f"sweep parameter must be one of {_SWEEP_PARAMS}")
     if not 1 <= len(values) <= 64:
         raise ConfigError("values", "need between 1 and 64 sweep values")
-    base = replace(cfg, out_dir=str(out_dir)) if out_dir is not None else cfg
+    base = replace(cfg, out_dir=str(out_dir))
 
     results = [None] * len(values)
     ready = []  # (row, child config, analysis, initial state)
@@ -421,7 +429,8 @@ def _parse_sweep_values(cfg: RunConfig, text: str) -> list[float]:
     for tok in text.split(","):
         tok = tok.strip()
         if tok == "theta_c":
-            rep = analyze(replace(cfg, command="analyze"))
+            # the children re-derive k_u = theta*k_v, and so does their theta_c
+            rep = analyze(replace(cfg, k_u=None))
             values.append(rep.rng.theta_c)
             continue
         try:

@@ -41,7 +41,9 @@ entry as a member stepped alone.  Each member's dt, eps, alpha (or its
 linearisation) enter as arrays with one entry per unknown, at B = 1 too:
 the same roundings, and a ufunc costs less with an array operand than with
 a Python float.  The face fluxes sit between a +0.0 and a -0.0 in one
-buffer, so rhs = -C w is a single difference.
+buffer, so rhs = -C w is a single difference.  Both reactions add dt*f to
+U and subtract it from V: g = -f, and the linearisation at the steady state
+of the member's mass has gu = -fu and gv = -fv bitwise.
 
 The loop advances in blocks of up to ``_BLOCK_STEPS`` = 32 steps, fewer
 when its ring of states would pass ``_RING_BYTES`` = 1 MiB.  Step j writes
@@ -276,6 +278,7 @@ def _kernel(members: list[_Member], mode: str):
         return np.repeat(np.array(values, dtype=float), sizes)
 
     nonlinear, linearized = mode == "nonlinear", mode == "linearized"
+    reacting = nonlinear or linearized
     dt = spread([m.params.dt for m in members])
     if nonlinear:
         eps = spread([m.params.eps for m in members])
@@ -286,8 +289,8 @@ def _kernel(members: list[_Member], mode: str):
         lins = [m.linearization for m in members]
         u_bar = spread([s.u_bar for s in lins])
         v_bar = spread([s.v_bar for s in lins])
-        fu, fv, gu, gv = (spread([getattr(s.jac, d) for s in lins])
-                          for d in ("fu", "fv", "gu", "gv"))
+        fu = spread([s.jac.fu for s in lins])
+        fv = spread([s.jac.fv for s in lins])
 
     faces = _join([m.faces_u for m in members] + [m.faces_v for m in members])
     # a member's factor is block diagonal, so the batch factor is theirs side
@@ -325,17 +328,15 @@ def _kernel(members: list[_Member], mode: str):
             np.subtract(flux_hi, flux_lo, out=rhs)
             if nonlinear:
                 f = reaction(w_u, w_v, eps, alpha, out=reaction_out)
-                np.multiply(f, dt, out=f)
-                np.add(rhs_u, f, out=rhs_u)
-                np.subtract(rhs_v, f, out=rhs_v)  # g = -f
             elif linearized:
                 du = np.subtract(w_u, u_bar, out=work_du)
                 dv = np.subtract(w_v, v_bar, out=work_dv)
-                for lin_u, lin_v, part in ((fu, fv, rhs_u), (gu, gv, rhs_v)):
-                    s = np.multiply(lin_u, du, out=work_u)
-                    np.add(s, np.multiply(lin_v, dv, out=work_v), out=s)
-                    np.multiply(s, dt, out=s)
-                    np.add(part, s, out=part)
+                f = np.multiply(fu, du, out=work_u)
+                np.add(f, np.multiply(fv, dv, out=work_v), out=f)
+            if reacting:
+                np.multiply(f, dt, out=f)
+                np.add(rhs_u, f, out=rhs_u)
+                np.subtract(rhs_v, f, out=rhs_v)  # g = -f
             # overwrite_b = 1: x is rhs, solved in place
             x, info = dpttrs(diag, sub, rhs, 1)
             if info:
@@ -382,16 +383,16 @@ def _step_alone(member: _Member, mode: str, state: np.ndarray) -> np.ndarray:
     return ring[1]
 
 
-def step(state, faces, params: ModelParams, mode: str = "nonlinear", *,
-         linearization: SteadyState | None = None):
+def step(state, faces, params: ModelParams, mode: str = "nonlinear"):
     """One theta-method step; the reaction is evaluated explicitly at time n.
 
     ``faces`` is the pair ``(assemble(params, "u"), assemble(params, "v"))``.
-    mode 'nonlinear' uses the full reactions, 'linearized' the Jacobian at
-    the equilibrium applied to deviations, 'diffusion' switches the
-    reactions off.  Returns the new (U, V).
+    mode 'nonlinear' uses the full reactions, 'diffusion' switches the
+    reactions off.  'linearized', the Jacobian at the equilibrium applied to
+    deviations, needs the steady state of a run's initial mass: it is
+    refused here and stepped by `run`.  Returns the new (U, V).
     """
-    member = _member(faces, params, linearization)
+    member = _member(faces, params, None)
     # blow-up is detected below; keep the overflow path silent
     with np.errstate(over="ignore", invalid="ignore"):
         w = _step_alone(member, mode, np.concatenate(state, dtype=float))
@@ -485,8 +486,7 @@ class _Run:
         )
 
 
-def _start(index: int, params: ModelParams, initial, T: float, mode: str,
-           linearization: SteadyState | None) -> _Run:
+def _start(index: int, params: ModelParams, initial, T: float, mode: str) -> _Run:
     grid = build_grid(params)
     U = np.array(initial[0], dtype=float)
     V = np.array(initial[1], dtype=float)
@@ -497,7 +497,8 @@ def _start(index: int, params: ModelParams, initial, T: float, mode: str,
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{species}: non-finite entries")
     faces = (assemble(params, "u"), assemble(params, "v"))
-    if mode == "linearized" and linearization is None:
+    linearization = None
+    if mode == "linearized":
         M = conserved_mass(U, V, grid)
         linearization = steady_state(M, params.eps, params.alpha)
     n_steps = int(np.ceil(T / params.dt - 1e-9))
@@ -512,13 +513,12 @@ def _start(index: int, params: ModelParams, initial, T: float, mode: str,
 
 
 def run_batch(params_list, initials, T: float, mode: str = "nonlinear", *,
-              steady_tol: float = 1e-8, steady_stop: bool = True,
-              linearizations=None) -> list:
+              steady_tol: float = 1e-8, steady_stop: bool = True) -> list:
     """Integrate B parameter sets to time T in one stacked kernel.
 
-    ``initials`` holds one (u0, v0) pair per member on its grid, and
-    ``linearizations`` one steady state or None per member (None derives
-    it from the member's mass in 'linearized' mode).  Every member keeps
+    ``initials`` holds one (u0, v0) pair per member on its grid; in
+    'linearized' mode each member is linearised at the steady state of its
+    own initial mass.  Every member keeps
     its own dt, snapshot times and stop: once it converges (max|dU, dV|/dt
     < steady_tol, with ``steady_stop``) or takes its last step, its blocks
     leave the batch and the kernel is rebuilt from the rest.  Returns one
@@ -530,16 +530,13 @@ def run_batch(params_list, initials, T: float, mode: str = "nonlinear", *,
         raise ValueError("T must be positive")
     if mode not in MODES:
         raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
-    if linearizations is None:
-        linearizations = [None] * len(params_list)
-    if not len(params_list) == len(initials) == len(linearizations):
-        raise ValueError("need one initial state and linearization per member")
+    if len(params_list) != len(initials):
+        raise ValueError("need one initial state per member")
     results = [None] * len(params_list)
     active = []
-    for b, (params, initial, lin) in enumerate(
-            zip(params_list, initials, linearizations)):
+    for b, (params, initial) in enumerate(zip(params_list, initials)):
         try:
-            r = _start(b, params, initial, T, mode, lin)
+            r = _start(b, params, initial, T, mode)
         except ValueError as exc:  # a member's own input fails that member only
             results[b] = exc
             continue
@@ -624,17 +621,17 @@ def _step_batch(active: list[_Run], it: int, mode: str, steady_tol: float,
 
 
 def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,
-        steady_tol: float = 1e-8, steady_stop: bool = True,
-        linearization: SteadyState | None = None) -> SimResult:
+        steady_tol: float = 1e-8, steady_stop: bool = True) -> SimResult:
     """Integrate to time T, or stop earlier once max|dU, dV|/dt < steady_tol.
 
-    ``initial`` is the (u0, v0) pair on the grid of ``params``.  Snapshots
+    ``initial`` is the (u0, v0) pair on the grid of ``params``; 'linearized'
+    mode linearises at the steady state of its mass.  Snapshots
     (with the running mass) are recorded at t = 0 and at the geometric
     times T/64, T/32, ..., T.  Blow-up raises BlowUpError with the step
     index attached.  This is ``run_batch`` with one member.
     """
     result, = run_batch([params], [initial], T, mode, steady_tol=steady_tol,
-                        steady_stop=steady_stop, linearizations=[linearization])
+                        steady_stop=steady_stop)
     if isinstance(result, Exception):
         raise result
     return result

@@ -71,13 +71,14 @@ class ModelParams:
     Diffusivities obey the coupled regime D_ul = theta*D_vl, D_ur = theta*D_vr;
     nu_D = D_vr/D_vl is derived, never stored.  ``k_u`` defaults to
     theta*k_v, the coupling required for the two species to share one
-    eigenfunction basis; setting it to anything else only warns, since the
-    time stepper does not need the coupling.
+    eigenfunction basis (``coupled``); setting it to anything else only
+    warns, since the time stepper does not need the coupling, but the
+    modal analysis no longer applies.
 
     Grid: each side holds N+1 unknowns at spacing dx with the membrane value
     duplicated (left trace and right trace are distinct unknowns at x_m).
-    N_l and N_r default to the cell counts that fit dx and must fit it
-    otherwise; the grid and the stepper's faces both read this dx.  Every
+    The cell counts N_l and N_r are derived from dx, which must tile both
+    segments; the grid and the stepper's faces both read this dx.  Every
     float field must be finite, a subclass's fields included.
     """
 
@@ -93,8 +94,6 @@ class ModelParams:
     Theta_scheme: float = 1.0
     dx: float = 1.0 / 200.0
     dt: float | None = None
-    N_l: int | None = None
-    N_r: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -127,7 +126,7 @@ class ModelParams:
             object.__setattr__(self, "k_u", self.theta * self.k_v)
         elif self.k_u < 0:
             raise ValueError("k_u: permeability must be non-negative")
-        elif abs(self.k_u - self.theta * self.k_v) > 1e-12 * max(1.0, self.k_u):
+        elif not self.coupled:
             warnings.warn(
                 "k_u != theta*k_v: species no longer share an eigenbasis, "
                 "the modal analysis does not apply",
@@ -142,17 +141,31 @@ class ModelParams:
                 "dt > eps/2: explicit reaction may destabilise the step",
                 stacklevel=2,
             )
-        for name, span in (("N_l", self.x_m), ("N_r", self.L - self.x_m)):
-            n = getattr(self, name)
-            if n is None:
-                n = int(round(span / self.dx)) - 1
-                object.__setattr__(self, name, n)
+        for side, span, n in (("left", self.x_m, self.N_l),
+                              ("right", self.L - self.x_m, self.N_r)):
             if n < 2:
-                raise ValueError(f"{name}: need at least 2 cells per side")
+                raise ValueError(f"dx: {self.dx!r} leaves {n + 1} cells on the "
+                                 f"{side} segment, fewer than 3")
             if abs(span / (n + 1) - self.dx) > 1e-12 * self.dx:
                 raise ValueError(
-                    f"{name}: {n} cells are incompatible with dx = {self.dx!r}"
+                    f"dx: {self.dx!r} does not tile the {side} segment "
+                    f"(length {span!r}, {n + 1} cells of {span / (n + 1)!r})"
                 )
+
+    @property
+    def N_l(self) -> int:
+        """The left segment holds N_l + 1 cells of dx: x_m = (N_l + 1)*dx."""
+        return round(self.x_m / self.dx) - 1
+
+    @property
+    def N_r(self) -> int:
+        """The right segment holds N_r + 1 cells of dx: L - x_m = (N_r + 1)*dx."""
+        return round((self.L - self.x_m) / self.dx) - 1
+
+    @property
+    def coupled(self) -> bool:
+        """k_u = theta*k_v to 1e-12: the species share one eigenfunction basis."""
+        return abs(self.k_u - self.theta * self.k_v) <= 1e-12 * max(1.0, self.k_u)
 
     @property
     def nu_D(self) -> float:

@@ -318,7 +318,7 @@ def discrete_spectrum_oracle(params: ModelParams, N: int, n_max: int = 8) -> np.
     dx = params.x_m / N
     if params.L / dx < 100:
         raise ValueError("oracle grid needs at least 100 cells")
-    grid = replace(params, dx=dx, N_l=None, N_r=None)
+    grid = replace(params, dx=dx)
     faces = _face_coefficients(grid, params.D_vl, params.D_vr, params.k_v) / grid.dt
     diag = np.zeros(faces.size + 1)
     diag[:-1] += faces

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import subprocess
 import sys
 import textwrap
@@ -95,6 +97,23 @@ def test_parse_rejects_keys_the_preset_ignores(tmp_path, capsys, preset, line):
     cfgf.write_text("dx = 0.025\n" + text)
     assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["N_l = 99", "N_r = 99", "command = simulate"])
+def test_parse_refuses_derived_counts_and_command(line):
+    # N_l and N_r follow from dx, and the command comes from the command line
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
+        parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("mode", ["0", "200000"])
+def test_main_names_preset_mode_out_of_range(tmp_path, capsys, mode):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(f"dx = 0.025\npreset = eigenmode-perturbation\npreset_mode = {mode}\n")
+    assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: preset_mode: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_every_config_is_validated_when_built():
@@ -215,6 +234,23 @@ def test_tiny_theta_is_refused_before_the_spectrum(tmp_path, capsys, monkeypatch
         f"config error: theta: mode cap 200001 for eta_plus = {eta_plus} "
         "is past the 100000 modes that are solved\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_analyze_refuses_a_decoupled_k_u(tmp_path, capsys):
+    # k_u != theta*k_v: the species share no eigenbasis, so no modal verdict
+    # applies
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.05\nT = 5\ntheta = 0.2\nk_u = 0.05\n")
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="k_u"):
+        assert main(["analyze", "--config", str(cfgf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: k_u: ")
+    assert not (out / "analysis.txt").exists()
+    # a sweep's children, and its theta_c, re-derive k_u = theta*k_v
+    with pytest.warns(UserWarning, match="k_u"):
+        assert main(["sweep", "--config", str(cfgf), "--param", "theta",
+                     "--values", "theta_c,0.1", "--out", str(out)]) == 0
+    assert "k_u = 0.1\n" in (out / "theta_0.1" / "report.txt").read_text()
 
 
 def test_spectrum_refuses_more_than_max_modes(tmp_path, capsys):
@@ -396,6 +432,32 @@ def test_main_exit_codes(tmp_path, capsys):
             warnings.simplefilter("error")
             assert main(["simulate", "--config", str(huge), "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error: D_vl: ")
+
+
+def test_commands_write_nothing_to_stdout(tmp_path, capfd):
+    # the output is files, the errors go to stderr: stdout stays free for
+    # whatever drives the command
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.025\nT = 2\n")
+    for argv in (["analyze"], ["simulate", "--svg"], ["spectrum", "--n-max", "20"],
+                 ["sweep", "--param", "theta", "--values", "0.1,0.01"]):
+        out = tmp_path / argv[0]
+        assert main([argv[0], "--config", str(cfgf), *argv[1:], "--out", str(out)]) == 0
+        assert any(out.iterdir())
+        assert capfd.readouterr().out == ""
+
+
+def test_benchmark_layers_wrap_existing_names():
+    # perfbench/layers.py drops the metrics of a name it cannot find without
+    # a word; each name it wraps must stay a callable of its module
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    for module, attr, _ in layers.TARGETS:
+        assert callable(getattr(importlib.import_module(f"membrane_rd.{module}"), attr,
+                                None)), (module, attr)
 
 
 def test_analyze_and_spectrum_load_no_scipy(tmp_path):

@@ -161,14 +161,14 @@ def test_grid_paper_resolution():
 
 
 def test_grid_smallest():
-    grid = build_grid(make_params(N_l=2, N_r=2, dx=0.5 / 3.0))
+    grid = build_grid(make_params(dx=0.5 / 3.0))
     assert grid.n_points == 6
     assert grid.membrane_index == (2, 3)
 
 
 def test_grid_asymmetric_membrane_position():
     # x_m = 1/3 works when both segments share dx: N_l=65, N_r=131, dx=1/198
-    p = make_params(x_m=1.0 / 3.0, N_l=65, N_r=131, dx=1.0 / 198.0)
+    p = make_params(x_m=1.0 / 3.0, dx=1.0 / 198.0)
     grid = build_grid(p)
     assert grid.n_points == 65 + 131 + 2
     assert grid.centers[grid.membrane_index[0]] == pytest.approx(1.0 / 3.0)
@@ -178,8 +178,9 @@ def test_grid_asymmetric_membrane_position():
 
 
 def test_grid_rejects_mismatched_segments():
-    with pytest.raises(ValueError, match="N_l|N_r|disagree"):
-        make_params(x_m=1.0 / 3.0, N_l=65, N_r=130, dx=1.0 / 198.0)
+    # 0.3/7 tiles the left segment, not the right
+    with pytest.raises(ValueError, match="^dx: "):
+        make_params(x_m=0.3, dx=0.3 / 7.0)
 
 
 def test_midpoint_grid_tiles_segments():
@@ -376,8 +377,7 @@ RUN_CASES = [
     ("nonlinear", dict(theta=1e-2, k_v=0.0), 5.0, False),
     ("nonlinear", dict(theta=3e-4, k_v=1.0), 5.0, False),
     ("nonlinear", dict(theta=3e-4, k_v=1e8), 5.0, False),
-    ("nonlinear", dict(theta=1e-2, x_m=1.0 / 3.0, N_l=65, N_r=131, dx=1.0 / 198.0),
-     2.0, False),
+    ("nonlinear", dict(theta=1e-2, x_m=1.0 / 3.0, dx=1.0 / 198.0), 2.0, False),
     ("nonlinear", dict(theta=0.3101693089477196), 1000.0, True),
 ]
 RUN_IDS = ["nonlinear", "linearized", "diffusion", "Theta0", "Theta0.5", "Theta1",

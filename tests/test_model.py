@@ -219,7 +219,8 @@ def test_mass_of_zero_profiles(default_params):
 
 @pytest.mark.parametrize("n", [2, 7, 99])
 def test_mass_of_constants(n):
-    params = make_params(N_l=n, N_r=n, dx=0.5 / (n + 1))
+    params = make_params(dx=0.5 / (n + 1))
+    assert params.N_l == params.N_r == n
     grid = build_grid(params)
     u0 = np.full(grid.n_points, 0.3)
     v0 = np.full(grid.n_points, 1.1)
@@ -258,7 +259,9 @@ def test_fig3_membrane_trace_takes_both_branches(default_params):
 ])
 def test_fig3_left_trace_keeps_left_branch_off_centre(x_m, N_l, N_r, dx):
     L = x_m + (N_r + 1) * dx
-    grid = build_grid(make_params(L=L, x_m=x_m, N_l=N_l, N_r=N_r, dx=dx))
+    params = make_params(L=L, x_m=x_m, dx=dx)
+    assert (params.N_l, params.N_r) == (N_l, N_r)
+    grid = build_grid(params)
     i, j = grid.membrane_index
     assert grid.centers[i] > x_m  # the case where x <= x_m picks the wrong branch
     u0, v0 = initial_data("paper-fig3", grid)
@@ -318,7 +321,7 @@ def test_params_dt_tracks_fast_reactions():
 @pytest.mark.parametrize(
     "kw", [dict(L=-1), dict(x_m=0.0), dict(x_m=2.0), dict(theta=0.0),
            dict(eps=0.0), dict(k_v=-1.0), dict(Theta_scheme=2.0),
-           dict(dx=-0.1), dict(N_l=1, N_r=1, dx=0.5 / 2)],
+           dict(dx=-0.1), dict(dx=0.25)],
 )
 def test_params_validation_errors(kw):
     with pytest.raises(ValueError):
@@ -336,5 +339,5 @@ def test_params_uncoupled_permeability_warns():
 
 
 def test_params_inconsistent_dx_rejected():
-    with pytest.raises(ValueError, match="N_l"):
-        ModelParams(N_l=99, N_r=99, dx=1.0 / 300.0)
+    with pytest.raises(ValueError, match="^dx: "):
+        ModelParams(dx=0.007)
