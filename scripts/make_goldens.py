@@ -32,7 +32,7 @@ STRIDE = 4
 def run_cases(dx):
     """The three cases at one dx, stepped as one batch (each bitwise its own run)."""
     params = [ModelParams(dx=dx, **kw) for kw in CASES.values()]
-    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    initials = [initial_data(p, build_grid(p)) for p in params]
     results = run_batch(params, initials, T_FINAL, steady_stop=False)
     for res in results:
         if isinstance(res, Exception):

@@ -2,10 +2,11 @@
 
 Commands:
     analyze  --config F [--out D]            stability + spectrum report
-    simulate --config F --out D [--svg]      time integration, CSV snapshots
+    simulate --config F [--out D] [--svg]    time integration, CSV snapshots
     spectrum --config F --n-max N [--out D]  eigenvalue table
     sweep    --config F --param P --values v1,v2,... [--out D]
 
+Every command writes its files to the directory D, by default `out`.
 Config files are `key = value` lines with `#` comments.  Exit codes:
 0 success, 2 config error, 3 numerical blow-up, 4 I/O failure.
 """
@@ -22,68 +23,24 @@ from pathlib import Path
 import numpy as np
 
 from . import fdm, spectrum, stability
-from .model import (PRESETS, ModelParams, SteadyState, conserved_mass, initial_data,
-                    steady_state)
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; carries the offending key."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
-        self.key = key
+from .model import (ConfigError, ModelParams, SteadyState, conserved_mass,
+                    initial_data, steady_state)
 
 
 @dataclass(frozen=True)
 class RunConfig(ModelParams):
-    """A problem and how to run it; parse -> serialize -> parse is the identity.
+    """A problem and its horizon; parse -> serialize -> parse is the identity.
 
-    The problem keys are the `ModelParams` fields, validated and resolved
-    (k_u, dt) when the config is built; the keys added here say how to
-    start, run and write it.  A start key that the chosen preset does not
-    read (``_PRESET_KEYS``) must keep its default, and ``preset_mode`` must
-    lie in [1, ``spectrum.MAX_MODES``] when it is read.
+    The keys are the `ModelParams` fields, validated and resolved (k_u, dt)
+    when the config is built, and the final time ``T``.
     """
 
-    preset: str = "paper-fig3"
-    preset_mode: int = 1
-    preset_amplitude: float = 1e-3
-    noise_amplitude: float = 1e-2
-    mass: float = 0.8
     T: float = 1000.0
-    seed: int = 0
-    out_dir: str = "out"
 
     def __post_init__(self):
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            key, _, message = str(exc).partition(":")
-            raise ConfigError(key, message.strip()) from None
+        super().__post_init__()
         if not self.T > 0:
             raise ConfigError("T", "final time must be positive")
-        if self.preset not in PRESETS:
-            raise ConfigError("preset", f"unknown preset {self.preset!r} "
-                                        f"(expected one of {PRESETS})")
-        for key, readers in _PRESET_KEYS.items():
-            default = getattr(RunConfig, key)
-            if self.preset not in readers and getattr(self, key) != default:
-                raise ConfigError(key, f"preset {self.preset} ignores it "
-                                       f"(read by {' and '.join(readers)})")
-        if not 1 <= self.preset_mode <= spectrum.MAX_MODES:
-            raise ConfigError("preset_mode", f"eigenmode index must be between 1 "
-                                             f"and {spectrum.MAX_MODES}, got "
-                                             f"{self.preset_mode}")
-
-
-# the run keys that only some presets read
-_PRESET_KEYS = {
-    "mass": ("constant-plus-noise", "eigenmode-perturbation"),
-    "noise_amplitude": ("constant-plus-noise",),
-    "seed": ("constant-plus-noise",),
-    "preset_mode": ("eigenmode-perturbation",),
-    "preset_amplitude": ("eigenmode-perturbation",),
-}
 
 
 # each key parses as its RunConfig field's type (without the None of an open field)
@@ -137,14 +94,6 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _initial_state(cfg: RunConfig, grid):
-    return initial_data(
-        cfg.preset, grid, cfg,
-        mass=cfg.mass, mode=cfg.preset_mode, amplitude=cfg.preset_amplitude,
-        noise_amplitude=cfg.noise_amplitude, seed=cfg.seed,
-    )
-
-
 # ------------------------------------------------------------------- analyze
 
 @dataclass(eq=False)
@@ -163,7 +112,7 @@ def analyze(cfg: RunConfig) -> AnalysisReport:
                                  f"{cfg.theta * cfg.k_v!r}: the species share no "
                                  "eigenbasis, so the modal analysis does not apply")
     grid = fdm.build_grid(cfg)
-    u0, v0 = _initial_state(cfg, grid)
+    u0, v0 = initial_data(cfg, grid)
     ss = steady_state(conserved_mass(u0, v0, grid), cfg.eps, cfg.alpha)
     ode = stability.ode_stability(ss.jac)
     rng = stability.instability_range(cfg.theta, ss.jac)
@@ -279,7 +228,7 @@ def _svg_profile(path: Path, grid, values, label: str):
 
 
 def simulate(cfg: RunConfig) -> fdm.SimResult:
-    u0, v0 = _initial_state(cfg, fdm.build_grid(cfg))
+    u0, v0 = initial_data(cfg, fdm.build_grid(cfg))
     return fdm.run(cfg, (u0, v0), cfg.T)
 
 
@@ -349,8 +298,7 @@ _SWEEP_PARAMS = ("theta", "k_v", "eps")
 def _sweep_child(cfg: RunConfig, param: str, value: float) -> RunConfig:
     # the coupled regime k_u = theta*k_v, and for eps the dt cap, are re-derived
     return replace(cfg, **{param: value}, k_u=None,
-                   dt=None if param == "eps" else cfg.dt,
-                   out_dir=str(Path(cfg.out_dir) / f"{param}_{value:g}"))
+                   dt=None if param == "eps" else cfg.dt)
 
 
 # the columns of sweep_summary.csv between value and status, which a
@@ -386,21 +334,19 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
         raise ConfigError("param", f"sweep parameter must be one of {_SWEEP_PARAMS}")
     if not 1 <= len(values) <= 64:
         raise ConfigError("values", "need between 1 and 64 sweep values")
-    base = replace(cfg, out_dir=str(out_dir))
-
     results = [None] * len(values)
     ready = []  # (row, child config, analysis, initial state)
     for row, value in enumerate(values):
         try:
-            child = _sweep_child(base, param, value)
+            child = _sweep_child(cfg, param, value)
             rep = analyze(child)
-            initial = _initial_state(child, fdm.build_grid(child))
+            initial = initial_data(child, fdm.build_grid(child))
         except Exception as exc:  # failures recorded per-row, sweep continues
             results[row] = _failure(exc)
             continue
         ready.append((row, child, rep, initial))
     try:
-        runs = fdm.run_batch([r[1] for r in ready], [r[3] for r in ready], base.T)
+        runs = fdm.run_batch([r[1] for r in ready], [r[3] for r in ready], cfg.T)
     except Exception as exc:  # an error common to the batch fails every child
         runs = [exc] * len(ready)
     for (row, child, rep, _), res in zip(ready, runs):
@@ -408,7 +354,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
             results[row] = _failure(res)
             continue
         try:
-            _write_simulation(child, res, child.out_dir)
+            _write_simulation(child, res, Path(out_dir) / f"{param}_{values[row]:g}")
             results[row] = _child_summary(rep, res)
         except Exception as exc:
             results[row] = _failure(exc)
@@ -420,7 +366,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
                  else [_cell(r[c]) for c in _SUMMARY_COLUMNS])
         rows.append(",".join((param, _g(v), *cells, r.get("error", "ok"))))
         summary.append({"param": param, "value": v, **r})
-    _write(base.out_dir, "sweep_summary.csv", "\n".join(rows) + "\n")
+    _write(out_dir, "sweep_summary.csv", "\n".join(rows) + "\n")
     return summary
 
 
@@ -461,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", required=True, help="path to a key = value file")
-        sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--out", default="out", help="output directory (default: out)")
 
     sp = sub.add_parser("analyze", help="steady state, critical ratio, unstable modes")
     common(sp)
@@ -488,16 +434,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 4
         cfg = parse_config(text)
-        out = args.out if args.out is not None else cfg.out_dir
         if args.cmd == "analyze":
-            cmd_analyze(cfg, out)
+            cmd_analyze(cfg, args.out)
         elif args.cmd == "simulate":
-            cmd_simulate(cfg, out, svg=args.svg)
+            cmd_simulate(cfg, args.out, svg=args.svg)
         elif args.cmd == "spectrum":
-            cmd_spectrum(cfg, args.n_max, out)
+            cmd_spectrum(cfg, args.n_max, args.out)
         elif args.cmd == "sweep":
             values = _parse_sweep_values(cfg, args.values)
-            summary = cmd_sweep(cfg, args.param, values, out)
+            summary = cmd_sweep(cfg, args.param, values, args.out)
             failed = [s for s in summary if "error" in s]
             for s in failed:
                 print(f"sweep {args.param}={s['value']:g} failed: {s['error']}",

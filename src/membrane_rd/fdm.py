@@ -219,11 +219,17 @@ class _Member:
     linearization: SteadyState | None
 
 
-def _member(faces, params: ModelParams,
-            linearization: SteadyState | None) -> _Member:
+def _member(params: ModelParams, grid: Grid, U: np.ndarray, V: np.ndarray,
+            mode: str) -> _Member:
+    # in 'linearized' mode the member is linearised at the steady state of
+    # the mass of (U, V)
     from scipy.linalg.lapack import dpttrf
 
-    faces_u, faces_v = faces
+    faces = faces_u, faces_v = assemble(params, "u"), assemble(params, "v")
+    linearization = None
+    if mode == "linearized":
+        M = conserved_mass(U, V, grid)
+        linearization = steady_state(M, params.eps, params.alpha)
     n = faces_u.size + 1
     # I + T*C on [U; V] from the faces, 0.0 at the U/V seam: the diagonal
     # d_i = 1 + T*f_i + T*f_{i-1}, summed in this order, and e = -T*f
@@ -284,8 +290,6 @@ def _kernel(members: list[_Member], mode: str):
         eps = spread([m.params.eps for m in members])
         alpha = spread([m.params.alpha for m in members])
     elif linearized:
-        if any(m.linearization is None for m in members):
-            raise ValueError("linearized mode needs the steady state")
         lins = [m.linearization for m in members]
         u_bar = spread([s.u_bar for s in lins])
         v_bar = spread([s.v_bar for s in lins])
@@ -383,19 +387,19 @@ def _step_alone(member: _Member, mode: str, state: np.ndarray) -> np.ndarray:
     return ring[1]
 
 
-def step(state, faces, params: ModelParams, mode: str = "nonlinear"):
+def step(state, params: ModelParams, mode: str = "nonlinear"):
     """One theta-method step; the reaction is evaluated explicitly at time n.
 
-    ``faces`` is the pair ``(assemble(params, "u"), assemble(params, "v"))``.
     mode 'nonlinear' uses the full reactions, 'diffusion' switches the
-    reactions off.  'linearized', the Jacobian at the equilibrium applied to
-    deviations, needs the steady state of a run's initial mass: it is
-    refused here and stepped by `run`.  Returns the new (U, V).
+    reactions off, and 'linearized' applies the Jacobian at the steady state
+    of the mass of ``state`` to the deviations from it, as `run` does from
+    its initial state.  Returns the new (U, V).
     """
-    member = _member(faces, params, None)
+    U, V = (np.asarray(x, dtype=float) for x in state)
+    member = _member(params, build_grid(params), U, V, mode)
     # blow-up is detected below; keep the overflow path silent
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _step_alone(member, mode, np.concatenate(state, dtype=float))
+        w = _step_alone(member, mode, np.concatenate((U, V)))
     if not np.isfinite(w).all():
         raise BlowUpError()
     return w[:member.n], w[member.n:]
@@ -496,14 +500,9 @@ def _start(index: int, params: ModelParams, initial, T: float, mode: str) -> _Ru
                              f"grid ({grid.n_points} points)")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{species}: non-finite entries")
-    faces = (assemble(params, "u"), assemble(params, "v"))
-    linearization = None
-    if mode == "linearized":
-        M = conserved_mass(U, V, grid)
-        linearization = steady_state(M, params.eps, params.alpha)
     n_steps = int(np.ceil(T / params.dt - 1e-9))
     r = _Run(
-        index=index, member=_member(faces, params, linearization),
+        index=index, member=_member(params, grid, U, V, mode),
         grid=grid, n_steps=n_steps,
         snapshot_steps=_snapshot_steps(T, params.dt, n_steps), U=U, V=V,
         snapshots=[], mass_series=[],

@@ -22,6 +22,32 @@ import numpy as np
 
 #: Finite stand-in for an infinitely permeable membrane.
 PERMEABILITY_INF = 1e8
+#: The most modes one `spectrum.eigenvalues` call solves: 1e5 take about
+#: 0.3 s and 90 MB on a 2-vCPU machine, while the mode count of a tiny theta
+#: would exhaust the memory.
+MAX_MODES = 100_000
+#: The most cells L/dx that a grid may hold: a `simulate` of 64 steps at
+#: 1e6 cells peaks at 543 MB and writes 518 MB of profiles in 30 s on a
+#: 2-vCPU machine, while dx = 1e-9 asks for 8 GB for the abscissae alone.
+MAX_CELLS = 1_000_000
+
+PRESETS = ("paper-fig3", "constant-plus-noise", "eigenmode-perturbation")
+# the start keys that only some presets read
+_PRESET_KEYS = {
+    "mass": ("constant-plus-noise", "eigenmode-perturbation"),
+    "noise_amplitude": ("constant-plus-noise",),
+    "seed": ("constant-plus-noise",),
+    "preset_mode": ("eigenmode-perturbation",),
+    "preset_amplitude": ("eigenmode-perturbation",),
+}
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; carries the offending key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
+        self.key = key
 
 
 class MassError(ValueError):
@@ -65,7 +91,7 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical and numerical constants for one membrane problem.
+    """One membrane problem: its constants, its grid step and its initial state.
 
     The domain (0, L) is split at the membrane x_m (default the midpoint).
     Diffusivities obey the coupled regime D_ul = theta*D_vl, D_ur = theta*D_vr;
@@ -78,8 +104,16 @@ class ModelParams:
     Grid: each side holds N+1 unknowns at spacing dx with the membrane value
     duplicated (left trace and right trace are distinct unknowns at x_m).
     The cell counts N_l and N_r are derived from dx, which must tile both
-    segments; the grid and the stepper's faces both read this dx.  Every
-    float field must be finite, a subclass's fields included.
+    segments in at most ``MAX_CELLS`` cells; the grid and the stepper's
+    faces both read this dx.
+
+    The initial state is the named ``preset`` (one of ``PRESETS``, built by
+    `initial_data`) with its start keys.  A start key that the preset does
+    not read (``_PRESET_KEYS``) must keep its default, and ``preset_mode``
+    must lie in [1, ``MAX_MODES``].
+
+    Every float field must be finite, a subclass's fields included.  A bad
+    value raises a ConfigError that names its field.
     """
 
     L: float = 1.0
@@ -94,29 +128,44 @@ class ModelParams:
     Theta_scheme: float = 1.0
     dx: float = 1.0 / 200.0
     dt: float | None = None
+    preset: str = "paper-fig3"
+    preset_mode: int = 1
+    preset_amplitude: float = 1e-3
+    noise_amplitude: float = 1e-2
+    mass: float = 0.8
+    seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name}: must be finite")
+                raise ConfigError(f.name, "must be finite")
         if not self.L > 0:
-            raise ValueError("L: domain length must be positive")
+            raise ConfigError("L", "domain length must be positive")
         if not 0 < self.x_m < self.L:
-            raise ValueError("x_m: membrane must sit strictly inside (0, L)")
+            raise ConfigError("x_m", "membrane must sit strictly inside (0, L)")
         for name in ("D_vl", "D_vr"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: inhibitor diffusivity must be positive")
+                raise ConfigError(name, "inhibitor diffusivity must be positive")
         if self.theta <= 0:
-            raise ValueError("theta: diffusion ratio must be positive")
+            raise ConfigError("theta", "diffusion ratio must be positive")
         if self.eps <= 0:
-            raise ValueError("eps: reaction time scale must be positive")
+            raise ConfigError("eps", "reaction time scale must be positive")
         if self.k_v < 0:
-            raise ValueError("k_v: permeability must be non-negative")
+            raise ConfigError("k_v", "permeability must be non-negative")
         if not 0 <= self.Theta_scheme <= 1:
-            raise ValueError("Theta_scheme: scheme weight must lie in [0, 1]")
+            raise ConfigError("Theta_scheme", "scheme weight must lie in [0, 1]")
         if self.dx <= 0:
-            raise ValueError("dx: grid step must be positive")
+            raise ConfigError("dx", "grid step must be positive")
+        # L/dx is inf for a subnormal dx; N_l and N_r are read only past here
+        if not self.L / self.dx <= MAX_CELLS:
+            raise ConfigError("dx", f"{self.dx!r} cuts the domain into "
+                                    f"{self.L / self.dx:.6g} cells, more than "
+                                    f"{MAX_CELLS}")
+        if self.mass <= 0:
+            raise ConfigError("mass", "total mass must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed", "random seed must be non-negative")
         if not 0 < self.alpha < 3:
             warnings.warn(
                 "alpha outside (0, 3): h'(u) > -1 no longer guaranteed",
@@ -125,7 +174,7 @@ class ModelParams:
         if self.k_u is None:
             object.__setattr__(self, "k_u", self.theta * self.k_v)
         elif self.k_u < 0:
-            raise ValueError("k_u: permeability must be non-negative")
+            raise ConfigError("k_u", "permeability must be non-negative")
         elif not self.coupled:
             warnings.warn(
                 "k_u != theta*k_v: species no longer share an eigenbasis, "
@@ -135,7 +184,7 @@ class ModelParams:
         if self.dt is None:
             object.__setattr__(self, "dt", min(1e-2, self.eps / 4.0))
         elif self.dt <= 0:
-            raise ValueError("dt: time step must be positive")
+            raise ConfigError("dt", "time step must be positive")
         elif self.dt > self.eps / 2.0:
             warnings.warn(
                 "dt > eps/2: explicit reaction may destabilise the step",
@@ -144,13 +193,24 @@ class ModelParams:
         for side, span, n in (("left", self.x_m, self.N_l),
                               ("right", self.L - self.x_m, self.N_r)):
             if n < 2:
-                raise ValueError(f"dx: {self.dx!r} leaves {n + 1} cells on the "
-                                 f"{side} segment, fewer than 3")
+                raise ConfigError("dx", f"{self.dx!r} leaves {n + 1} cells on the "
+                                        f"{side} segment, fewer than 3")
             if abs(span / (n + 1) - self.dx) > 1e-12 * self.dx:
-                raise ValueError(
-                    f"dx: {self.dx!r} does not tile the {side} segment "
-                    f"(length {span!r}, {n + 1} cells of {span / (n + 1)!r})"
+                raise ConfigError(
+                    "dx", f"{self.dx!r} does not tile the {side} segment "
+                          f"(length {span!r}, {n + 1} cells of {span / (n + 1)!r})"
                 )
+        if self.preset not in PRESETS:
+            raise ConfigError("preset", f"unknown preset {self.preset!r} "
+                                        f"(expected one of {PRESETS})")
+        for key, readers in _PRESET_KEYS.items():
+            default = getattr(ModelParams, key)
+            if self.preset not in readers and getattr(self, key) != default:
+                raise ConfigError(key, f"preset {self.preset} ignores it "
+                                       f"(read by {' and '.join(readers)})")
+        if not 1 <= self.preset_mode <= MAX_MODES:
+            raise ConfigError("preset_mode", f"eigenmode index must be between 1 "
+                                             f"and {MAX_MODES}, got {self.preset_mode}")
 
     @property
     def N_l(self) -> int:
@@ -275,50 +335,41 @@ def fig3_profile(x, L: float = 1.0, x_m: float = 0.5):
     return u0, v0
 
 
-PRESETS = ("paper-fig3", "constant-plus-noise", "eigenmode-perturbation")
-
-
-def initial_data(preset: str, grid, params: ModelParams | None = None, *,
-                 mass: float = 0.8, mode: int = 1, amplitude: float = 1e-3,
-                 noise_amplitude: float = 1e-2, seed: int = 0):
-    """Build (u0, v0) on the two-segment grid for a named preset.
+def initial_data(params: ModelParams, grid):
+    """Build (u0, v0) on the two-segment grid for the preset of ``params``.
 
     paper-fig3
         The reference discontinuous data; the duplicated membrane point takes
         the left branch on the left trace and the right branch on the right.
     constant-plus-noise
-        Equilibrium for the given mass plus seeded uniform noise of the given
-        amplitude on both species.
+        Equilibrium for ``mass`` plus uniform noise of ``noise_amplitude`` on
+        both species, drawn from ``seed``.
     eigenmode-perturbation
-        Equilibrium plus amplitude * z_n(x) * (a, b), where z_n is membrane
-        eigenfunction ``mode`` and (a, b) the dominant-growth direction of
-        the linearised reaction-diffusion system at eta_n.
+        Equilibrium for ``mass`` plus preset_amplitude * z_n(x) * (a, b),
+        where z_n is membrane eigenfunction n = ``preset_mode`` and (a, b)
+        the dominant-growth direction of the linearised reaction-diffusion
+        system at eta_n.
     """
-    if preset == "paper-fig3":
+    if params.preset == "paper-fig3":
         # each side takes its own branch, whatever x <= x_m says: the left
         # trace at (N_l + 1)*dx may round past x_m (x_m = +-inf picks a side)
         ul, vl = fig3_profile(grid.centers[grid.left], grid.L, math.inf)
         ur, vr = fig3_profile(grid.centers[grid.right], grid.L, -math.inf)
         return np.concatenate([ul, ur]), np.concatenate([vl, vr])
 
-    if params is None:
-        raise ValueError(f"preset {preset!r} needs model parameters")
-    ss = steady_state(mass, params.eps, params.alpha)
+    ss = steady_state(params.mass, params.eps, params.alpha)
 
-    if preset == "constant-plus-noise":
-        rng = np.random.default_rng(seed)
-        u0 = ss.u_bar + noise_amplitude * rng.uniform(-1.0, 1.0, grid.n_points)
-        v0 = ss.v_bar + noise_amplitude * rng.uniform(-1.0, 1.0, grid.n_points)
+    if params.preset == "constant-plus-noise":
+        rng, amplitude = np.random.default_rng(params.seed), params.noise_amplitude
+        u0 = ss.u_bar + amplitude * rng.uniform(-1.0, 1.0, grid.n_points)
+        v0 = ss.v_bar + amplitude * rng.uniform(-1.0, 1.0, grid.n_points)
         return u0, v0
 
-    if preset == "eigenmode-perturbation":
-        from . import spectrum, stability  # local import: model is a leaf otherwise
+    # eigenmode-perturbation, the one preset left
+    from . import spectrum, stability  # local import: model is a leaf otherwise
 
-        if mode < 1:
-            raise ValueError("mode: eigenmode index must be >= 1")
-        em = spectrum.eigenvalues(params, n_max=mode)[mode]
-        a, b = stability.mode_eigenvector(em.eta, params.theta, ss.jac)
-        z = spectrum.mode_values(em, grid)
-        return ss.u_bar + amplitude * a * z, ss.v_bar + amplitude * b * z
-
-    raise ValueError(f"unknown preset {preset!r} (expected one of {PRESETS})")
+    mode, amplitude = params.preset_mode, params.preset_amplitude
+    em = spectrum.eigenvalues(params, n_max=mode)[mode]
+    a, b = stability.mode_eigenvector(em.eta, params.theta, ss.jac)
+    z = spectrum.mode_values(em, grid)
+    return ss.u_bar + amplitude * a * z, ss.v_bar + amplitude * b * z

@@ -37,16 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .fdm import _face_coefficients
-from .model import PERMEABILITY_INF, ModelParams
+from .model import MAX_MODES, PERMEABILITY_INF, ModelParams
 
 #: Permeabilities below this are treated as a sealed membrane (k = 0 family).
 K_ZERO_TOL = 1e-12
 #: Two sealed values this close (relative) are one shared, double value.
 DOUBLE_TOL = 1e-12
-#: The most modes one `eigenvalues` call solves: 1e5 take about 0.3 s and
-#: 90 MB on a 2-vCPU machine, while the mode count of a tiny theta would
-#: exhaust the memory.
-MAX_MODES = 100_000
 
 
 # a NamedTuple, as it is built about 5x faster than a frozen dataclass,

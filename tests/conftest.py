@@ -28,7 +28,7 @@ def make_params(**kw):
 
 def fig3_state(params):
     grid = build_grid(params)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(params, grid)
     return grid, u0, v0
 
 

@@ -62,7 +62,7 @@ def conclude(num, name, failures):
 def sim_cache():
     # one batch: each member is bitwise its own `run`
     params = [ModelParams(theta=theta, k_v=k_v) for theta, k_v in SIM_CONFIGS]
-    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    initials = [initial_data(p, build_grid(p)) for p in params]
     results = run_batch(params, initials, 1000.0, steady_stop=False)
     for res in results:
         if isinstance(res, Exception):
@@ -273,10 +273,11 @@ def test_c08_spectral_cross_validation():
 
 def test_c09_modal_growth(paper_ss):
     failures = []
-    params = ModelParams(theta=3e-4, dx=1.0 / 400.0, dt=1e-4)
+    params = ModelParams(theta=3e-4, dx=1.0 / 400.0, dt=1e-4,
+                         preset="eigenmode-perturbation", preset_mode=1,
+                         preset_amplitude=1e-3)
     grid = build_grid(params)
-    u0, v0 = initial_data("eigenmode-perturbation", grid, params,
-                          mode=1, amplitude=1e-3)
+    u0, v0 = initial_data(params, grid)
     em = eigenvalues(params, 1)[1]
     mu = dispersion(em.eta, params.theta, paper_ss.jac).max_re
     res = run(params, (u0, v0), 0.5, mode="linearized", steady_stop=False)
@@ -298,7 +299,7 @@ def test_c10_eps_sweep_monotonicity(paper_ss):
     # all 15 runs in one batch, each bitwise its own `run` (dt follows eps)
     params = [ModelParams(theta=1e-4, k_v=k_v, eps=eps)
               for k_v in k_values for eps in eps_values]
-    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    initials = [initial_data(p, build_grid(p)) for p in params]
     results = iter(run_batch(params, initials, 1000.0))
     for k_v in k_values:
         counts = []

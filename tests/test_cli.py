@@ -3,6 +3,7 @@ import importlib.util
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from membrane_rd.cli import (
     parse_config,
     serialize_config,
 )
+from membrane_rd.model import MAX_CELLS
 
 FAST = "dx = 0.025\nT = 20\n"  # coarse grid keeps command tests quick
 
@@ -99,9 +101,11 @@ def test_parse_rejects_keys_the_preset_ignores(tmp_path, capsys, preset, line):
     assert f"config error: {key}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["N_l = 99", "N_r = 99", "command = simulate"])
+@pytest.mark.parametrize("line", ["N_l = 99", "N_r = 99", "command = simulate",
+                                  "out_dir = x"])
 def test_parse_refuses_derived_counts_and_command(line):
-    # N_l and N_r follow from dx, and the command comes from the command line
+    # N_l and N_r follow from dx, and the command and the output directory
+    # come from the command line
     key = line.split()[0]
     with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
         parse_config(line + "\n")
@@ -113,6 +117,32 @@ def test_main_names_preset_mode_out_of_range(tmp_path, capsys, mode):
     cfgf.write_text(f"dx = 0.025\npreset = eigenmode-perturbation\npreset_mode = {mode}\n")
     assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: preset_mode: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", ["mass = -1", "seed = -1"])
+def test_main_names_a_bad_mass_or_seed(tmp_path, capsys, line):
+    key = line.split()[0]
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(f"dx = 0.025\npreset = constant-plus-noise\n{line}\n")
+    assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dx", [1e-310, 1.0 / (MAX_CELLS + 2)])
+def test_main_refuses_more_cells_than_the_bound(tmp_path, capsys, dx):
+    # L/dx is inf for the subnormal step; the other tiles both halves of the
+    # unit domain in two cells more than the bound
+    if dx > 1e-300:
+        n = round(0.5 / dx)
+        assert 2 * n == MAX_CELLS + 2 and abs(0.5 / n - dx) <= 1e-12 * dx
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(f"dx = {dx!r}\n")
+    t0 = time.perf_counter()
+    assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err.startswith("config error: dx: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -359,6 +389,24 @@ def test_sweep_children_match_standalone_simulate(tmp_path):
         assert sorted(f.name for f in got.iterdir()) == names
         for name in names:
             assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_sweep_child_files_are_its_own_simulate(tmp_path):
+    # every file of a child, its report included, is what simulate writes
+    # for the child's value: neither names the directory it is written to
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.025\nT = 5\n")
+    assert main(["sweep", "--config", str(cfgf), "--param", "theta",
+                 "--values", "0.2,0.01", "--out", str(tmp_path / "sweep")]) == 0
+    alone = tmp_path / "alone.cfg"
+    alone.write_text("dx = 0.025\nT = 5\ntheta = 0.2\n")
+    assert main(["simulate", "--config", str(alone), "--out", str(tmp_path / "sim")]) == 0
+    got, want = tmp_path / "sweep" / "theta_0.2", tmp_path / "sim"
+    names = sorted(f.name for f in want.iterdir())
+    assert "report.txt" in names
+    assert sorted(f.name for f in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_sweep_records_child_failures_and_continues(tmp_path):

@@ -281,7 +281,7 @@ def test_assemble_bounds_the_mesh_ratio_and_names_its_key(D, key, species):
         # u's ratios are theta = 0.5 times v's, so the run steps: 1e5 steps
         # at the bound keep c07's bound on the mass drift (measured: 3e-13
         # for D_vl, 1.6e-12 for D_vr, and 1.3e-10 for D_vr at 1e7)
-        u0, v0 = initial_data("paper-fig3", build_grid(p))
+        u0, v0 = initial_data(p, build_grid(p))
         res = run(p, (u0, v0), 1e5 * p.dt, steady_stop=False)
         assert res.n_steps == 100_000
         assert res.mass_drift < 1e-10
@@ -306,8 +306,7 @@ def test_step_equilibrium_is_fixed_point():
     ss = steady_state(0.8)
     U = np.full(grid.n_points, ss.u_bar)
     V = np.full(grid.n_points, ss.v_bar)
-    faces = (assemble(p, "u"), assemble(p, "v"))
-    U2, V2 = step((U, V), faces, p)
+    U2, V2 = step((U, V), p)
     assert np.max(np.abs(U2 - U)) < 1e-12
     assert np.max(np.abs(V2 - V)) < 1e-12
 
@@ -318,10 +317,9 @@ def test_step_pure_diffusion_preserves_mass():
     rng = np.random.default_rng(0)
     U = rng.uniform(0, 1, grid.n_points)
     V = rng.uniform(0, 1, grid.n_points)
-    faces = (assemble(p, "u"), assemble(p, "v"))
     m0u, m0v = grid.dx * U.sum(), grid.dx * V.sum()
     for _ in range(50):
-        U, V = step((U, V), faces, p, mode="diffusion")
+        U, V = step((U, V), p, mode="diffusion")
     assert grid.dx * U.sum() == pytest.approx(m0u, abs=1e-12)
     assert grid.dx * V.sum() == pytest.approx(m0v, abs=1e-12)
 
@@ -330,9 +328,9 @@ def test_step_matches_matrix_form():
     # increment formulation == lhs U' = rhs U + dt F, checked via dense solve
     p = coarse_params(Theta_scheme=0.7, dt=1e-3, k_v=3.0)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     faces = (assemble(p, "u"), assemble(p, "v"))
-    U1, V1 = step((u0, v0), faces, p)
+    U1, V1 = step((u0, v0), p)
     f, g = reaction(u0, v0, p.eps, p.alpha)
     U2 = np.linalg.solve(implicit_matrix(faces[0], p.Theta_scheme),
                          explicit_matrix(faces[0], p.Theta_scheme) @ u0 + p.dt * f)
@@ -342,22 +340,30 @@ def test_step_matches_matrix_form():
     assert np.max(np.abs(V1 - V2)) < 1e-11
 
 
-def test_step_linearized_needs_steady_state():
+def test_step_linearized_is_the_first_step_of_run():
+    # step linearises at the steady state of its state's mass, as run does:
+    # the fig3 state (mass 0.8) and the same with mass 0.9
+    p = coarse_params(theta=3e-4, dt=1e-3)
+    u0, v0 = initial_data(p, build_grid(p))
+    for state in ((u0, v0), (u0 + 0.1, v0)):
+        U, V = step(state, p, mode="linearized")
+        res = run(p, state, p.dt, mode="linearized", steady_stop=False)
+        assert res.n_steps == 1
+        assert np.array_equal(U, res.u) and np.array_equal(V, res.v)
+
+
+def test_step_refuses_an_unknown_mode():
     p = coarse_params()
-    grid = build_grid(p)
-    U = np.zeros(grid.n_points)
-    faces = (assemble(p, "u"), assemble(p, "v"))
-    with pytest.raises(ValueError, match="steady state"):
-        step((U, U), faces, p, mode="linearized")
+    U = np.zeros(build_grid(p).n_points)
     with pytest.raises(ValueError, match="mode"):
-        step((U, U), faces, p, mode="implicit")
+        step((U, U), p, mode="implicit")
 
 
 def test_step_blow_up_detected():
     # explicit diffusion far beyond the stability limit explodes quickly
     p = coarse_params(Theta_scheme=0.0, dt=1e-2)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     with pytest.raises(BlowUpError) as got:
         run(p, (u0, v0), 1.0)
     with pytest.raises(BlowUpError) as want:
@@ -389,7 +395,7 @@ def test_run_is_bitwise_the_per_species_step(mode, kw, T, stops_early):
     # the stacked U/V step must reproduce the per-species step exactly
     p = coarse_params(**kw)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     U, V, snaps, n_steps, converged = reference_run(p, u0, v0, T, mode)
     res = run(p, (u0, v0), T, mode=mode)
     assert (res.n_steps, res.converged) == (n_steps, converged)
@@ -407,7 +413,7 @@ def test_run_matches_a_banded_cholesky_solve(mode, kw, T, stops_early):
     # transparent sentinel and at most 1.6e3 in the other cases (measured:
     # relative differences of 1.2e-10 and at most 3.7e-15)
     p = coarse_params(**kw)
-    u0, v0 = initial_data("paper-fig3", build_grid(p))
+    u0, v0 = initial_data(p, build_grid(p))
     U, V, _, n_steps, converged = reference_run(p, u0, v0, T, mode,
                                                 solver=cholesky_solver)
     res = run(p, (u0, v0), T, mode=mode)
@@ -445,7 +451,7 @@ ACCEPTANCE_CONFIGS = [(THETA_C, 1.0), (7.8e-2, 1.0), (3e-4, 1.0), (3e-4, 0.0),
 ], ids=["acceptance", "stops", "eps_dt", "k_v", "linearized", "diffusion", "blow_up"])
 def test_run_batch_is_bitwise_each_run(mode, members, T, opts, stops):
     params = [coarse_params(**kw) for kw in members]
-    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    initials = [initial_data(p, build_grid(p)) for p in params]
     batch = run_batch(params, initials, T, mode, **opts)
     assert len(batch) == len(params)
     seen = set()
@@ -499,7 +505,7 @@ def test_run_batch_stops_match_the_reference_loop(diffusivities, T, tol_step, st
     # the members' rates fall strictly, and steady_tol is the first member's
     # rate at tol_step, so that member stops one step later
     params = [coarse_params(theta=0.5, D_vl=D, D_vr=D) for D in diffusivities]
-    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    initials = [initial_data(p, build_grid(p)) for p in params]
     rates = []
     reference_run(params[0], *initials[0], tol_step * params[0].dt, steady_tol=0.0,
                   rates=rates)
@@ -516,7 +522,7 @@ def test_run_batch_blow_up_matches_the_reference_loop():
     params = [coarse_params(**kw) for kw in (dict(theta=7.8e-2),
                                             dict(Theta_scheme=0.0, dt=1e-2),
                                             dict(theta=3e-4))]
-    initials = [initial_data("paper-fig3", build_grid(p)) for p in params]
+    initials = [initial_data(p, build_grid(p)) for p in params]
     batch = run_batch(params, initials, 1.0)
     assert [getattr(r, "step_index", None) for r in batch] == [None, 10, None]
     assert [getattr(r, "n_steps", None) for r in batch] == [100, None, 100]
@@ -544,7 +550,7 @@ def test_first_stop_reads_every_row_of_a_block():
 
 def test_run_batch_fails_a_bad_member_alone():
     p = coarse_params()
-    good = initial_data("paper-fig3", build_grid(p))
+    good = initial_data(p, build_grid(p))
     short = (good[0][:-1], good[1][:-1])
     first, second, third = run_batch([p, p, p], [good, short, good], 1.0)
     assert isinstance(second, ValueError) and "does not match" in str(second)
@@ -569,7 +575,7 @@ def test_run_looks_up_assemble_and_reaction_in_its_module(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(fdm, name, counted)
     p = coarse_params()
-    res = run(p, initial_data("paper-fig3", build_grid(p)), 1.0, steady_stop=False)
+    res = run(p, initial_data(p, build_grid(p)), 1.0, steady_stop=False)
     assert res.n_steps == 100
     assert calls == {"assemble": 2, "reaction": 100}
 
@@ -578,7 +584,7 @@ def test_run_converges_to_equilibrium_at_critical_ratio(paper_steady):
     tc = 0.3101693089477196
     p = make_params(theta=tc)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 1000.0)
     assert res.converged
     assert res.t_final < 1000.0
@@ -591,7 +597,7 @@ def test_run_sealed_membrane_below_first_mode_converges(paper_steady):
     # theta = 1e-2 leaves no unstable eigenvalue when the membrane is sealed
     p = make_params(theta=1e-2, k_v=0.0)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 1000.0)
     assert res.converged
     assert np.max(np.abs(res.u - paper_steady.u_bar)) < 1e-3
@@ -602,7 +608,7 @@ def test_run_single_mode_regime_leaves_a_membrane_jump(paper_steady):
     # one unstable mode: nearly constant sides with a jump at the membrane
     p = make_params(theta=7.8e-2)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 1000.0)
     var_l, var_r = side_variation(res.u, res.grid)
     assert res.jump[0] > 10.0 * max(var_l, var_r) / 3.0
@@ -614,7 +620,7 @@ def test_run_single_mode_regime_leaves_a_membrane_jump(paper_steady):
 def test_run_transparent_membrane_closes_the_jump():
     p = make_params(theta=3e-4, k_v=1e8, dx=1.0 / 100.0)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 500.0)
     assert res.jump[0] < 1e-3 and res.jump[1] < 1e-3
 
@@ -622,7 +628,7 @@ def test_run_transparent_membrane_closes_the_jump():
 def test_run_records_mass_and_snapshots():
     p = coarse_params(theta=1e-2)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 10.0, steady_stop=False)
     times = [t for t, _, _ in res.snapshots]
     assert times[0] == 0.0 and times[-1] == pytest.approx(10.0, abs=2 * p.dt)
@@ -632,9 +638,9 @@ def test_run_records_mass_and_snapshots():
 
 
 def test_run_equilibrium_start_converges_immediately():
-    p = coarse_params()
+    p = coarse_params(preset="constant-plus-noise", noise_amplitude=0.0)
     grid = build_grid(p)
-    u0, v0 = initial_data("constant-plus-noise", grid, p, noise_amplitude=0.0)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 100.0)
     assert res.converged and res.n_steps == 1
 
@@ -645,7 +651,7 @@ def test_run_fully_implicit_diffusion_is_unconditionally_stable(dt):
     # explicit-reaction dt guard stays quiet
     p = coarse_params(Theta_scheme=1.0, dt=dt, eps=8.0)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 20.0 * dt, mode="diffusion", steady_stop=False)
     assert np.all(np.isfinite(res.u))
     assert np.max(np.abs(res.u)) < 1.0
@@ -657,7 +663,7 @@ def test_run_mass_conserved_across_regimes():
                dict(theta=0.3, k_v=0.5, eps=0.25)):
         p = coarse_params(**kw)
         grid = build_grid(p)
-        u0, v0 = initial_data("paper-fig3", grid)
+        u0, v0 = initial_data(p, grid)
         res = run(p, (u0, v0), 20.0, steady_stop=False)
         assert res.mass_drift < 1e-10, kw
 
@@ -667,7 +673,7 @@ def test_run_mass_at_transparent_sentinel():
     # on the factorisation's backward error, so the bound is looser
     p = coarse_params(theta=3e-4, k_v=1e8)
     grid = build_grid(p)
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(p, grid)
     res = run(p, (u0, v0), 20.0, steady_stop=False)
     assert res.mass_drift < 1e-8
 
@@ -678,7 +684,7 @@ def test_run_steps_a_larger_permeability_as_the_sentinel(k_v):
     # given, dt*k/dx swamps the 1 of I + T*C: mass drift 4e-7 at 1e12 and
     # 0.6 at 1e18, and no positive definite factor at 1e30
     p = coarse_params(theta=3e-4, k_v=k_v)
-    u0, v0 = initial_data("paper-fig3", build_grid(p))
+    u0, v0 = initial_data(p, build_grid(p))
     res = run(p, (u0, v0), 5.0)
     assert res.mass_drift < 1e-9
     assert max(res.jump) < 1e-9
@@ -689,10 +695,11 @@ def test_linearized_growth_tracks_dispersion(paper_steady):
     from membrane_rd import dispersion, eigenvalues, project
     from membrane_rd.spectrum import mode_values
 
-    p = make_params(theta=3e-4, dx=1.0 / 200.0, dt=1e-3)
+    p = make_params(theta=3e-4, dx=1.0 / 200.0, dt=1e-3,
+                    preset="eigenmode-perturbation", preset_mode=1,
+                    preset_amplitude=1e-3)
     grid = build_grid(p)
-    u0, v0 = initial_data("eigenmode-perturbation", grid, p, mode=1,
-                          amplitude=1e-3)
+    u0, v0 = initial_data(p, grid)
     em = eigenvalues(p, 1)[1]
     mu = dispersion(em.eta, p.theta, paper_steady.jac).max_re
     res = run(p, (u0, v0), 0.5, mode="linearized", steady_stop=False)
@@ -712,7 +719,7 @@ def test_kedem_katchalsky_residual_is_first_order():
     for dx in (1.0 / 50.0, 1.0 / 100.0, 1.0 / 200.0):
         p = make_params(theta=7.8e-2, dx=dx)
         grid = build_grid(p)
-        u0, v0 = initial_data("paper-fig3", grid)
+        u0, v0 = initial_data(p, grid)
         res = run(p, (u0, v0), 200.0, steady_stop=False)
         dl, dr = kedem_katchalsky_residual(res.u, grid, p.D_ul,
                                            p.D_ur, p.k_u)
@@ -728,7 +735,7 @@ def test_profile_refinement_is_first_order():
     for dx in (1.0 / 100.0, 1.0 / 200.0):
         p = make_params(theta=1e-2, k_v=1e-2, dx=dx)
         grid = build_grid(p)
-        u0, v0 = initial_data("paper-fig3", grid)
+        u0, v0 = initial_data(p, grid)
         res = run(p, (u0, v0), 2000.0)
         assert res.converged
         finals[dx] = (grid.centers, res.u)

@@ -264,16 +264,17 @@ def test_fig3_left_trace_keeps_left_branch_off_centre(x_m, N_l, N_r, dx):
     grid = build_grid(params)
     i, j = grid.membrane_index
     assert grid.centers[i] > x_m  # the case where x <= x_m picks the wrong branch
-    u0, v0 = initial_data("paper-fig3", grid)
+    u0, v0 = initial_data(params, grid)
     assert u0[i] - u0[j] == pytest.approx(4.0 / 15.0, abs=1e-12)
     assert v0[j] - v0[i] == pytest.approx(4.0 / 15.0, abs=1e-12)
 
 
 def test_noise_preset_is_seeded(default_params):
     grid = build_grid(default_params)
-    a = initial_data("constant-plus-noise", grid, default_params, seed=3)
-    b = initial_data("constant-plus-noise", grid, default_params, seed=3)
-    c = initial_data("constant-plus-noise", grid, default_params, seed=4)
+    p3, p4 = (make_params(preset="constant-plus-noise", seed=seed) for seed in (3, 4))
+    a = initial_data(p3, grid)
+    b = initial_data(p3, grid)
+    c = initial_data(p4, grid)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert not np.array_equal(a[0], c[0])
     ss = steady_state(0.8)
@@ -284,10 +285,10 @@ def test_eigenmode_preset_matches_mode_direction():
     from membrane_rd import eigenvalues, mode_eigenvector
     from membrane_rd.spectrum import mode_values
 
-    params = make_params(theta=3e-4)
+    params = make_params(theta=3e-4, preset="eigenmode-perturbation",
+                         preset_mode=1, preset_amplitude=1e-3)
     grid = build_grid(params)
-    u0, v0 = initial_data("eigenmode-perturbation", grid, params,
-                          mode=1, amplitude=1e-3)
+    u0, v0 = initial_data(params, grid)
     ss = steady_state(0.8)
     em = eigenvalues(params, 1)[1]
     a, b = mode_eigenvector(em.eta, params.theta, ss.jac)
@@ -296,10 +297,9 @@ def test_eigenmode_preset_matches_mode_direction():
     assert np.allclose(v0 - ss.v_bar, 1e-3 * b * z, atol=1e-15)
 
 
-def test_unknown_preset_rejected(default_params):
-    grid = build_grid(default_params)
-    with pytest.raises(ValueError, match="unknown preset"):
-        initial_data("nope", grid, default_params)
+def test_unknown_preset_rejected():
+    with pytest.raises(ValueError, match="^preset: unknown preset"):
+        ModelParams(preset="nope")
 
 
 # ----------------------------------------------------------------- params
