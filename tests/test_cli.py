@@ -1,20 +1,25 @@
+import errno
 import importlib
 import importlib.util
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import membrane_rd
-from membrane_rd import spectrum, stability
+from membrane_rd import fdm, spectrum, stability
 from membrane_rd.cli import (
     ConfigError,
     RunConfig,
+    _profile_csv,
+    _write_file,
     cmd_analyze,
     cmd_simulate,
     cmd_spectrum,
@@ -581,3 +586,117 @@ def test_load_config_reads_files(tmp_path):
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text("theta = 0.2\n")
     assert load_config(cfgf).theta == 0.2
+
+
+# -------------------------------------------------------------------- output
+
+@pytest.mark.parametrize("cmd, first, second", [
+    # 32 listed modes, then 9
+    ("analyze", ("theta = 1e-5\n",), ("theta = 0.2\n",)),
+    ("spectrum", ("", "--n-max", "50"), ("", "--n-max", "5")),
+    ("simulate", ("dx = 0.025\nT = 5\n", "--svg"), ("dx = 0.025\nT = 2\n", "--svg")),
+    ("sweep", ("dx = 0.025\nT = 5\n", "--param", "theta", "--values", "0.01,0.2"),
+              ("dx = 0.025\nT = 2\n", "--param", "theta", "--values", "0.2,0.05")),
+])
+def test_a_rewrite_equals_a_fresh_write(tmp_path, cmd, first, second):
+    # a re-run into the same --out leaves every file as a fresh directory
+    # holds it; the second run's files are shorter, so a tail of the first
+    # one's would show
+    def run(out, cfg_text, *extra):
+        cfgf = tmp_path / "c.cfg"
+        cfgf.write_text(cfg_text)
+        assert main([cmd, "--config", str(cfgf), *extra, "--out", str(tmp_path / out)]) == 0
+        return tmp_path / out
+
+    again = run("again", *first)
+    before = {f: f.stat().st_size for f in again.rglob("*") if f.is_file()}
+    run("again", *second)
+    fresh = run("fresh", *second)
+    names = sorted(f.relative_to(fresh) for f in fresh.rglob("*") if f.is_file())
+    assert names
+    for name in names:
+        assert (again / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert any(before.get(again / n, 0) > (fresh / n).stat().st_size for n in names)
+
+
+@pytest.mark.parametrize("fault", [OSError(errno.ENOSPC, "No space left on device"),
+                                   KeyboardInterrupt()])
+def test_an_interrupted_rewrite_leaves_no_old_bytes(tmp_path, fault):
+    path = tmp_path / "analysis.txt"
+    path.write_text("old\n" * 5000)
+    on_disk = []
+
+    def blocks():
+        yield "new\n" * 100
+        # what a write killed here would leave: the new text so far
+        on_disk.append(path.read_text())
+        raise fault
+
+    with pytest.raises(type(fault)):
+        _write_file(path, blocks())
+    assert on_disk == ["new\n" * 100]
+    assert path.read_text() == ""
+
+
+def test_a_new_file_gets_the_mode_open_gives(tmp_path):
+    with open(tmp_path / "by_open.txt", "w", encoding="utf-8") as f:
+        f.write("x\n")
+    _write_file(tmp_path / "sub" / "by_writer.txt", ["x\n"])
+    made = tmp_path / "sub" / "by_writer.txt"
+    assert made.read_bytes() == b"x\n"
+    assert made.stat().st_mode == (tmp_path / "by_open.txt").stat().st_mode
+
+
+def test_main_reports_an_unwritable_output_as_io_error(tmp_path, capsys):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(FAST)
+    (tmp_path / "out" / "analysis.txt").mkdir(parents=True)
+    assert main(["analyze", "--config", str(cfgf), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("I/O error: ")
+
+
+def test_every_output_goes_through_the_one_writer(tmp_path, monkeypatch):
+    # Path.write_text would cut a rewritten file to zero bytes; no command
+    # may write a file but through cli._write_file
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.025\nT = 2\n")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{self} written around the CLI's writer")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(Path, "write_bytes", refuse)
+    for argv, names in (
+            (["analyze"], ["analysis.txt"]),
+            (["simulate", "--svg"], ["final.csv", "final_u.svg", "final_v.svg",
+                                     "report.txt", "snapshot_000.csv", "snapshots.csv"]),
+            (["spectrum", "--n-max", "20"], ["spectrum.csv"]),
+            (["sweep", "--param", "theta", "--values", "0.1,0.01"],
+             ["sweep_summary.csv", "theta_0.01/final.csv", "theta_0.1/report.txt"])):
+        out = tmp_path / argv[0]
+        assert main([argv[0], "--config", str(cfgf), *argv[1:], "--out", str(out)]) == 0
+        for name in names:
+            assert (out / name).stat().st_size > 0, name
+
+
+def test_profile_csv_memory_is_bounded(tmp_path):
+    # the rows are formatted and written a block at a time: ten times the
+    # cells must not take ten times the memory
+    def peak(cells):
+        grid = fdm.build_grid(RunConfig(dx=1.0 / cells))
+        U = np.linspace(0.5, 1.5, grid.n_points)
+        V = U[::-1].copy()
+        tracemalloc.start()
+        try:
+            _write_file(tmp_path / f"p{cells}.csv", _profile_csv(grid, U, V))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(200_000)
+    assert large < 2 * small, (small, large)
+    rows = (tmp_path / "p200000.csv").read_text().splitlines()
+    assert len(rows) == 1 + 200_000 and rows[0] == "x,side,u,v"
+    # the membrane abscissa once per side, across the blocks' seams
+    assert rows[100_000].split(",")[:2] == ["0.5", "l"]
+    assert rows[100_001].split(",")[:2] == ["0.5", "r"]
