@@ -170,10 +170,11 @@ def _write_file(path: Path, blocks: typing.Iterable[str]):
     The one writer of the CLI's files.  An existing file is cut to one byte,
     not to zero: ext4 (`auto_da_alloc`) forces writeback at close() of a file
     that was truncated to zero, which made a rewrite take about four times
-    as long as after a cut to one byte.  The text is written from offset 0
-    and the file truncated at its end, so a killed write leaves a prefix of
-    the new text, never old bytes behind new ones; a write that raises
-    leaves the file empty.
+    as long as after a cut to one byte.  The text is written from offset 0,
+    so its first byte covers the one left and sets the length, and empty
+    text truncates the file to zero.  A killed write leaves a prefix of the
+    new text, never old bytes behind new ones; a write that raises leaves
+    the file empty.
     """
     import os
 
@@ -194,7 +195,8 @@ def _write_file(path: Path, blocks: typing.Iterable[str]):
             while data:
                 n = os.write(fd, data)
                 data, size = data[n:], size + n
-        os.ftruncate(fd, size)
+        if not size:  # else the write from offset 0 set the length
+            os.ftruncate(fd, 0)
     except BaseException:
         os.ftruncate(fd, 0)
         raise
@@ -331,8 +333,10 @@ _SWEEP_PARAMS = ("theta", "k_v", "eps")
 
 
 def _sweep_child(cfg: RunConfig, param: str, value: float) -> RunConfig:
-    # the coupled regime k_u = theta*k_v, and for eps the dt cap, are re-derived
-    return replace(cfg, **{param: value}, k_u=None,
+    # the coupled regime k_u = theta*k_v, and for eps the dt cap, are
+    # re-derived; a k_u off the coupled regime is kept, for analyze to refuse
+    return replace(cfg, **{param: value},
+                   k_u=None if cfg.coupled else cfg.k_u,
                    dt=None if param == "eps" else cfg.dt)
 
 
@@ -410,7 +414,8 @@ def _parse_sweep_values(cfg: RunConfig, text: str) -> list[float]:
     for tok in text.split(","):
         tok = tok.strip()
         if tok == "theta_c":
-            # the children re-derive k_u = theta*k_v, and so does their theta_c
+            # theta_c depends on the steady state only, not on k_u: read it
+            # from the coupled analysis
             rep = analyze(replace(cfg, k_u=None))
             values.append(rep.rng.theta_c)
             continue
@@ -483,9 +488,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"sweep {args.param}={s['value']:g} failed: {s['error']}",
                       file=sys.stderr)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except fdm.BlowUpError as exc:
         print(f"blow-up: {exc} (step {exc.step_index}, t = {exc.t})",
               file=sys.stderr)

@@ -28,12 +28,14 @@ steps at 4e14 (D = 1e12 at dx = 1/200).  The same check refuses a ratio
 that overflows and a membrane face that is not finite.
 
 One kernel steps B >= 1 parameter sets (members) at once, as one stacked
-state w = [U_1 ... U_B, V_1 ... V_B].  Its faces are each block's own faces
-with an exact 0.0 at every block junction, so C is block diagonal.  I + T*C
-is factored once per member as L D L^T by ``pttrf``: a diagonal D and the
-unit sub-diagonal of L.  The batch factor joins the members' D and
-sub-diagonals with the same exact 0.0 at every junction, and each step is
-one ``pttrs``, solving in place.
+state w = [U_1 ... U_B, V_1 ... V_B].  A member is one record, built by
+``_member``: its checked initial state, faces, factor, linearisation and
+mode, and as it steps its step count, snapshot plan and snapshots.  The
+kernel's faces are each block's own faces with an exact 0.0 at every block
+junction, so C is block diagonal.  I + T*C is factored once per member as
+L D L^T by ``pttrf``: a diagonal D and the unit sub-diagonal of L.  The
+batch factor joins the members' D and sub-diagonals with the same exact 0.0
+at every junction, and each step is one ``pttrs``, solving in place.
 A junction face carries a zero flux and adds nothing to the diagonal, and
 a zero sub-diagonal entry adds b*0 to both substitutions, so the flux
 difference and the solve do the same floating-point operations on every
@@ -61,7 +63,7 @@ kernel is rebuilt from the rest.  The one exception to block independence is
 the step from the last finite row is then repeated for each member alone
 to find who blew up, and the others go on from that row without them.
 Hence `run_batch` gives every member bit for bit the result of `run`,
-which is the same loop at B = 1; `step` is one step of the kernel.
+which is the same loop at B = 1; `step` is `run` for one step.
 
 A membrane permeability at or above ``PERMEABILITY_INF`` is stepped as
 that sentinel, the transparent membrane: a larger k would swamp the 1 of
@@ -206,45 +208,6 @@ def assemble(params: ModelParams, species: str) -> np.ndarray:
 MODES = ("nonlinear", "linearized", "diffusion")
 
 
-@dataclass(frozen=True, eq=False)
-class _Member:
-    """One parameter set made ready for the step kernel."""
-
-    params: ModelParams
-    n: int                      # unknowns per species
-    faces_u: np.ndarray
-    faces_v: np.ndarray
-    diag: np.ndarray            # I + T*C on [U; V] = L D L^T: the 2n entries of D
-    sub: np.ndarray             # and the 2n-1 of L's sub-diagonal, 0.0 at the U/V seam
-    linearization: SteadyState | None
-
-
-def _member(params: ModelParams, grid: Grid, U: np.ndarray, V: np.ndarray,
-            mode: str) -> _Member:
-    # in 'linearized' mode the member is linearised at the steady state of
-    # the mass of (U, V)
-    from scipy.linalg.lapack import dpttrf
-
-    faces = faces_u, faces_v = assemble(params, "u"), assemble(params, "v")
-    linearization = None
-    if mode == "linearized":
-        M = conserved_mass(U, V, grid)
-        linearization = steady_state(M, params.eps, params.alpha)
-    n = faces_u.size + 1
-    # I + T*C on [U; V] from the faces, 0.0 at the U/V seam: the diagonal
-    # d_i = 1 + T*f_i + T*f_{i-1}, summed in this order, and e = -T*f
-    T = params.Theta_scheme
-    tf = T * _join(faces)
-    d = np.ones(2 * n)
-    d[:-1] += tf
-    d[1:] += tf
-    diag, sub, info = dpttrf(d, _join([-T * f for f in faces]))
-    if info:
-        raise np.linalg.LinAlgError(f"pttrf: info = {info}")
-    return _Member(params=params, n=n, faces_u=faces_u, faces_v=faces_v,
-                   diag=diag, sub=sub, linearization=linearization)
-
-
 def _join(blocks) -> np.ndarray:
     # the blocks end to end with an exact 0.0 between neighbours
     junction = np.zeros(1)
@@ -258,8 +221,10 @@ _BLOCK_STEPS = 32
 _RING_BYTES = 1 << 20
 
 
-def _kernel(members: list[_Member], mode: str):
+def _kernel(members: list[_Member]):
     """The step kernel for the stacked state [U_1 ... U_B, V_1 ... V_B].
+
+    The members share one mode, which the kernel reads from them.
 
     Returns ``(ring, advance)``.  ``ring`` holds K + 1 states, one a row, with
     K at most ``_BLOCK_STEPS`` and fewer when the ring and its differences
@@ -273,8 +238,7 @@ def _kernel(members: list[_Member], mode: str):
     """
     from scipy.linalg.lapack import dpttrs  # a local of advance's closure
 
-    if mode not in MODES:
-        raise ValueError(f"mode must be nonlinear|linearized|diffusion, got {mode!r}")
+    mode = members[0].mode
     B = len(members)
     sizes = [m.n for m in members]
     nu = sum(sizes)
@@ -379,9 +343,9 @@ def _first_stop(rates, ring, steady_tol: float, steady_stop: bool):
     return None
 
 
-def _step_alone(member: _Member, mode: str, state: np.ndarray) -> np.ndarray:
+def _step_alone(member: _Member, state: np.ndarray) -> np.ndarray:
     # one step of the member alone from state (errstate is the caller's)
-    ring, advance = _kernel([member], mode)
+    ring, advance = _kernel([member])
     ring[0] = state
     advance(1)
     return ring[1]
@@ -392,17 +356,12 @@ def step(state, params: ModelParams, mode: str = "nonlinear"):
 
     mode 'nonlinear' uses the full reactions, 'diffusion' switches the
     reactions off, and 'linearized' applies the Jacobian at the steady state
-    of the mass of ``state`` to the deviations from it, as `run` does from
-    its initial state.  Returns the new (U, V).
+    of the mass of ``state`` to the deviations from it.  This is `run` to
+    T = dt without the steady stop, with its checks of ``state`` and its
+    BlowUpError.  Returns the new (U, V).
     """
-    U, V = (np.asarray(x, dtype=float) for x in state)
-    member = _member(params, build_grid(params), U, V, mode)
-    # blow-up is detected below; keep the overflow path silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _step_alone(member, mode, np.concatenate((U, V)))
-    if not np.isfinite(w).all():
-        raise BlowUpError()
-    return w[:member.n], w[member.n:]
+    res = run(params, state, params.dt, mode, steady_stop=False)
+    return res.u, res.v
 
 
 @dataclass(eq=False)
@@ -411,7 +370,6 @@ class SimResult:
 
     params: ModelParams
     grid: Grid
-    mode: str
     u: np.ndarray            # final state on the grid
     v: np.ndarray
     t_final: float
@@ -420,7 +378,8 @@ class SimResult:
     jump: tuple[float, float]
     snapshots: list          # (t, U, V) copies at geometrically spaced times
     mass_series: list        # (t, dx*sum(U+V)) at the snapshot times
-    mass_drift: float        # max |mass - mass0| / |mass0| over the series
+    mass_drift: float        # max |mass - mass0| / |mass0| over the series;
+                             # max |mass - mass0| when mass0 is exactly 0
 
     @property
     def mass_initial(self) -> float:
@@ -451,12 +410,19 @@ def _snapshot_steps(T: float, dt: float, n_steps: int) -> list[int]:
 
 
 @dataclass(eq=False)
-class _Run:
-    """A batch member's record while it steps."""
+class _Member:
+    """One parameter set made ready for the step kernel, and its record."""
 
-    index: int
-    member: _Member
+    index: int               # its position in the batch
+    params: ModelParams
+    mode: str
     grid: Grid
+    n: int                   # unknowns per species
+    faces_u: np.ndarray
+    faces_v: np.ndarray
+    diag: np.ndarray         # I + T*C on [U; V] = L D L^T: the 2n entries of D
+    sub: np.ndarray          # and the 2n-1 of L's sub-diagonal, 0.0 at the U/V seam
+    linearization: SteadyState | None
     n_steps: int
     snapshot_steps: list     # latest first
     U: np.ndarray            # its state when the batch last changed
@@ -473,15 +439,17 @@ class _Run:
         self.snapshots.append((t, U, V))
         self.mass_series.append((t, self.grid.dx * float(np.sum(U) + np.sum(V))))
 
-    def result(self, mode: str, it: int, U, V, converged: bool) -> SimResult:
-        t = it * self.member.params.dt
+    def result(self, it: int, U, V, converged: bool) -> SimResult:
+        t = it * self.params.dt
         U, V = U.copy(), V.copy()
         if self.snapshots[-1][0] != t:
             self.record(t, U, V)
         mass0 = self.mass_series[0][1]
-        drift = max(abs(m - mass0) for _, m in self.mass_series) / abs(mass0)
+        drift = max(abs(m - mass0) for _, m in self.mass_series)
+        if mass0:
+            drift /= abs(mass0)
         return SimResult(
-            params=self.member.params, grid=self.grid, mode=mode,
+            params=self.params, grid=self.grid,
             u=U, v=V,
             t_final=t, n_steps=it, converged=converged,
             jump=(membrane_jump(U, self.grid), membrane_jump(V, self.grid)),
@@ -490,7 +458,12 @@ class _Run:
         )
 
 
-def _start(index: int, params: ModelParams, initial, T: float, mode: str) -> _Run:
+def _member(index: int, params: ModelParams, initial, T: float,
+            mode: str) -> _Member:
+    # in 'linearized' mode the member is linearised at the steady state of
+    # the mass of its initial state
+    from scipy.linalg.lapack import dpttrf
+
     grid = build_grid(params)
     U = np.array(initial[0], dtype=float)
     V = np.array(initial[1], dtype=float)
@@ -500,15 +473,32 @@ def _start(index: int, params: ModelParams, initial, T: float, mode: str) -> _Ru
                              f"grid ({grid.n_points} points)")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{species}: non-finite entries")
+    faces = faces_u, faces_v = assemble(params, "u"), assemble(params, "v")
+    linearization = None
+    if mode == "linearized":
+        M = conserved_mass(U, V, grid)
+        linearization = steady_state(M, params.eps, params.alpha)
+    n = grid.n_points
+    # I + T*C on [U; V] from the faces, 0.0 at the U/V seam: the diagonal
+    # d_i = 1 + T*f_i + T*f_{i-1}, summed in this order, and e = -T*f
+    T_scheme = params.Theta_scheme
+    tf = T_scheme * _join(faces)
+    d = np.ones(2 * n)
+    d[:-1] += tf
+    d[1:] += tf
+    diag, sub, info = dpttrf(d, _join([-T_scheme * f for f in faces]))
+    if info:
+        raise np.linalg.LinAlgError(f"pttrf: info = {info}")
     n_steps = int(np.ceil(T / params.dt - 1e-9))
-    r = _Run(
-        index=index, member=_member(params, grid, U, V, mode),
-        grid=grid, n_steps=n_steps,
+    m = _Member(
+        index=index, params=params, mode=mode, grid=grid, n=n,
+        faces_u=faces_u, faces_v=faces_v, diag=diag, sub=sub,
+        linearization=linearization, n_steps=n_steps,
         snapshot_steps=_snapshot_steps(T, params.dt, n_steps), U=U, V=V,
         snapshots=[], mass_series=[],
     )
-    r.record(0.0, U, V)
-    return r
+    m.record(0.0, U, V)
+    return m
 
 
 def run_batch(params_list, initials, T: float, mode: str = "nonlinear", *,
@@ -535,25 +525,25 @@ def run_batch(params_list, initials, T: float, mode: str = "nonlinear", *,
     active = []
     for b, (params, initial) in enumerate(zip(params_list, initials)):
         try:
-            r = _start(b, params, initial, T, mode)
+            m = _member(b, params, initial, T, mode)
         except ValueError as exc:  # a member's own input fails that member only
             results[b] = exc
             continue
-        if r.n_steps:
-            active.append(r)
+        if m.n_steps:
+            active.append(m)
         else:
-            results[b] = r.result(mode, 0, r.U, r.V, False)
+            results[b] = m.result(0, m.U, m.V, False)
 
     it = 0
     # blow-up is detected from the rates; keep the overflow path silent
     with np.errstate(over="ignore", invalid="ignore"):
         while active:
-            it, left = _step_batch(active, it, mode, steady_tol, steady_stop, results)
-            active = [r for i, r in enumerate(active) if i not in left]
+            it, left = _step_batch(active, it, steady_tol, steady_stop, results)
+            active = [m for i, m in enumerate(active) if i not in left]
     return results
 
 
-def _step_batch(active: list[_Run], it: int, mode: str, steady_tol: float,
+def _step_batch(active: list[_Member], it: int, steady_tol: float,
                 steady_stop: bool, results: list) -> tuple[int, list[int]]:
     """Step the members ``active`` from step ``it`` until some leave.
 
@@ -563,11 +553,11 @@ def _step_batch(active: list[_Run], it: int, mode: str, steady_tol: float,
     left.  The kernel and its ring are freed on return, before the next
     batch builds its own.
     """
-    ring, advance = _kernel([r.member for r in active], mode)
+    ring, advance = _kernel(active)
     K = ring.shape[0] - 1
     w = ring[0]  # the state at step it
-    w[:] = np.concatenate([r.U for r in active] + [r.V for r in active])
-    ends = np.cumsum([r.member.n for r in active]).tolist()
+    w[:] = np.concatenate([m.U for m in active] + [m.V for m in active])
+    ends = np.cumsum([m.n for m in active]).tolist()
     nu = ends[-1]
     spans = list(zip([0] + ends[:-1], ends))
 
@@ -575,7 +565,7 @@ def _step_batch(active: list[_Run], it: int, mode: str, steady_tol: float,
         a, b = spans[i]
         return w[a:b], w[nu + a:nu + b]
 
-    next_event = min(r.next_event for r in active)
+    next_event = min(m.next_event for m in active)
     left = []
     while not left:
         # a block of steps never passes the next snapshot or last step
@@ -588,11 +578,10 @@ def _step_batch(active: list[_Run], it: int, mode: str, steady_tol: float,
             # ones that blew up, then go on without them from there
             it += stop[0]
             w[:] = ring[stop[0]]
-            for i, r in enumerate(active):
-                if not np.isfinite(_step_alone(
-                        r.member, mode, np.concatenate(blocks(i)))).all():
-                    results[r.index] = BlowUpError(
-                        step_index=it + 1, t=(it + 1) * r.member.params.dt)
+            for i, m in enumerate(active):
+                if not np.isfinite(_step_alone(m, np.concatenate(blocks(i)))).all():
+                    results[m.index] = BlowUpError(
+                        step_index=it + 1, t=(it + 1) * m.params.dt)
                     left.append(i)
             if not left:
                 raise BlowUpError()
@@ -604,18 +593,18 @@ def _step_batch(active: list[_Run], it: int, mode: str, steady_tol: float,
         w[:] = ring[j + 1]
         if it < next_event and stop is None:
             continue
-        for i, r in enumerate(active):
+        for i, m in enumerate(active):
             U, V = blocks(i)
-            if r.snapshot_steps and r.snapshot_steps[-1] == it:
-                r.snapshot_steps.pop()
-                r.record(it * r.member.params.dt, U, V)
+            if m.snapshot_steps and m.snapshot_steps[-1] == it:
+                m.snapshot_steps.pop()
+                m.record(it * m.params.dt, U, V)
             rate = float(rates[j, i])
-            if it == r.n_steps or (steady_stop and rate < steady_tol):
-                results[r.index] = r.result(mode, it, U, V, rate < steady_tol)
+            if it == m.n_steps or (steady_stop and rate < steady_tol):
+                results[m.index] = m.result(it, U, V, rate < steady_tol)
                 left.append(i)
-        next_event = min(r.next_event for r in active)
-    for i, r in enumerate(active):
-        r.U, r.V = (x.copy() for x in blocks(i))
+        next_event = min(m.next_event for m in active)
+    for i, m in enumerate(active):
+        m.U, m.V = (x.copy() for x in blocks(i))
     return it, left
 
 

@@ -19,6 +19,7 @@ from membrane_rd.cli import (
     ConfigError,
     RunConfig,
     _profile_csv,
+    _sweep_child,
     _write_file,
     cmd_analyze,
     cmd_simulate,
@@ -281,11 +282,36 @@ def test_analyze_refuses_a_decoupled_k_u(tmp_path, capsys):
         assert main(["analyze", "--config", str(cfgf), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: k_u: ")
     assert not (out / "analysis.txt").exists()
-    # a sweep's children, and its theta_c, re-derive k_u = theta*k_v
+    # a sweep's theta_c re-derives k_u = theta*k_v, as theta_c depends only
+    # on the steady state; its children keep k_u, and analyze refuses them
     with pytest.warns(UserWarning, match="k_u"):
         assert main(["sweep", "--config", str(cfgf), "--param", "theta",
                      "--values", "theta_c,0.1", "--out", str(out)]) == 0
-    assert "k_u = 0.1\n" in (out / "theta_0.1" / "report.txt").read_text()
+    err = capsys.readouterr().err
+    assert "sweep theta=0.1 failed: ConfigError: k_u: " in err
+    assert not (out / "theta_0.1").exists()
+
+
+def test_sweep_child_keeps_a_decoupled_k_u(tmp_path):
+    # a k_u the user set off the coupled regime stays in the child, whose
+    # analyze refuses it; a coupled k_u follows the swept theta
+    text = "dx = 0.025\nT = 2\nk_u = 0.05\n"
+    with pytest.warns(UserWarning, match="k_u"):
+        cfg = parse_config(text)
+        assert _sweep_child(cfg, "theta", 0.2).k_u == 0.05
+    coupled = parse_config("dx = 0.025\nT = 2\n")
+    assert _sweep_child(coupled, "theta", 0.2).k_u == 0.2 * coupled.k_v
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(text)
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="k_u"):
+        assert main(["sweep", "--config", str(cfgf), "--param", "theta",
+                     "--values", "0.2", "--out", str(out)]) == 0
+    header, row = (out / "sweep_summary.csv").read_text().splitlines()
+    cells = row.split(",", len(header.split(",")) - 1)  # the status has commas
+    assert cells[0] == "theta" and float(cells[1]) == 0.2
+    assert cells[-1].startswith("ConfigError: k_u: 0.05 is not theta*k_v = 0.2: ")
+    assert not (out / "theta_0.2").exists()
 
 
 def test_spectrum_refuses_more_than_max_modes(tmp_path, capsys):
@@ -636,6 +662,18 @@ def test_an_interrupted_rewrite_leaves_no_old_bytes(tmp_path, fault):
         _write_file(path, blocks())
     assert on_disk == ["new\n" * 100]
     assert path.read_text() == ""
+
+
+def test_empty_text_leaves_an_empty_file(tmp_path):
+    # over a 1-byte file, which the writer does not cut, and a long one
+    for old in ("x", "old\n" * 5000):
+        path = tmp_path / "f.txt"
+        path.write_text(old)
+        _write_file(path, [])
+        assert path.read_bytes() == b""
+        path.write_text(old)
+        _write_file(path, ["", "y"])
+        assert path.read_bytes() == b"y"
 
 
 def test_a_new_file_gets_the_mode_open_gives(tmp_path):

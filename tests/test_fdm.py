@@ -359,6 +359,19 @@ def test_step_refuses_an_unknown_mode():
         step((U, U), p, mode="implicit")
 
 
+def test_step_refuses_a_bad_state_as_run_does():
+    p = coarse_params()
+    u0, v0 = initial_data(p, build_grid(p))
+    with pytest.raises(ValueError, match=r"^u: length \(39,\) does not match "
+                                         r"grid \(40 points\)"):
+        step((u0[:-1], v0), p)
+    for value in (np.nan, np.inf):
+        v = v0.copy()
+        v[3] = value
+        with pytest.raises(ValueError, match="^v: non-finite entries"):
+            step((u0, v), p)
+
+
 def test_step_blow_up_detected():
     # explicit diffusion far beyond the stability limit explodes quickly
     p = coarse_params(Theta_scheme=0.0, dt=1e-2)
@@ -635,6 +648,24 @@ def test_run_records_mass_and_snapshots():
     assert len(times) >= 8
     assert res.mass_initial == pytest.approx(0.8, abs=1e-12)
     assert res.mass_drift < 1e-12
+
+
+def test_run_with_zero_initial_mass_gives_the_absolute_drift():
+    # u = -v carries no mass: the drift is then max |mass - 0|, alone and in
+    # a batch, and the batch's other member keeps its result
+    p = coarse_params()
+    u0, v0 = initial_data(p, build_grid(p))
+    zero = (u0, -u0)
+    res = run(p, zero, 0.05, mode="diffusion")
+    assert res.mass_initial == 0.0
+    assert res.mass_drift == max(abs(m) for _, m in res.mass_series) < 1e-15
+    normal = run(p, (u0, v0), 0.05, mode="diffusion")
+    got_zero, got_normal = run_batch([p, p], [zero, (u0, v0)], 0.05,
+                                     mode="diffusion")
+    for want, got in ((res, got_zero), (normal, got_normal)):
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+        assert got.mass_series == want.mass_series
+        assert got.mass_drift == want.mass_drift
 
 
 def test_run_equilibrium_start_converges_immediately():
