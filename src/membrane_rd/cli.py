@@ -76,22 +76,25 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit the fully resolved config; floats use repr so parsing round-trips."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {value!r}" if isinstance(value, float)
-                     else f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    return "".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                   else f"{key} = {value}\n" for key, value in values)
 
 
 def load_config(path: str | Path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
+def _text(value) -> str:
+    """A report value: floats as %.17g, None as none, anything else with str."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    return "none" if value is None else str(value)
+
+
+def _lines(record: dict) -> str:
+    """The `key = value` lines of a report record, in its order."""
+    return "".join(f"{key} = {_text(value)}\n" for key, value in record.items())
 
 
 # ------------------------------------------------------------------- analyze
@@ -106,14 +109,19 @@ class AnalysisReport:
     dominant: spectrum.EigenMode | None  # the one with the largest growth rate
 
 
+def _steady_state(cfg: RunConfig) -> SteadyState:
+    """The steady state at the mass of the config's initial data."""
+    grid = fdm.build_grid(cfg)
+    u0, v0 = initial_data(cfg, grid)
+    return steady_state(conserved_mass(u0, v0, grid), cfg.eps, cfg.alpha)
+
+
 def analyze(cfg: RunConfig) -> AnalysisReport:
     if not cfg.coupled:
         raise ConfigError("k_u", f"{cfg.k_u!r} is not theta*k_v = "
                                  f"{cfg.theta * cfg.k_v!r}: the species share no "
                                  "eigenbasis, so the modal analysis does not apply")
-    grid = fdm.build_grid(cfg)
-    u0, v0 = initial_data(cfg, grid)
-    ss = steady_state(conserved_mass(u0, v0, grid), cfg.eps, cfg.alpha)
+    ss = _steady_state(cfg)
     ode = stability.ode_stability(ss.jac)
     rng = stability.instability_range(cfg.theta, ss.jac)
     # one spectrum serves the count and the listed modes; the modes past the
@@ -121,7 +129,7 @@ def analyze(cfg: RunConfig) -> AnalysisReport:
     n_cap = 0 if rng.is_empty else spectrum.unstable_mode_cap(rng, cfg)
     if n_cap + 2 > spectrum.MAX_MODES:
         raise ConfigError("theta", f"mode cap {n_cap} for eta_plus = "
-                                   f"{_g(rng.eta_plus)} is past the "
+                                   f"{_text(rng.eta_plus)} is past the "
                                    f"{spectrum.MAX_MODES} modes that are solved")
     modes = spectrum.eigenvalues(cfg, max(8, n_cap + 2))
     hits = [m for m in modes if m.eta in rng]
@@ -135,33 +143,22 @@ def analyze(cfg: RunConfig) -> AnalysisReport:
 def _format_analysis(cfg: RunConfig, rep: AnalysisReport) -> str:
     ss, ode, rng = rep.ss, rep.ode, rep.rng
     count = len(rep.unstable)
-    out = [
-        "# stability analysis",
-        f"M = {_g(ss.M)}",
-        f"u_bar = {_g(ss.u_bar)}",
-        f"v_bar = {_g(ss.v_bar)}",
-        f"fu = {_g(ss.jac.fu)}",
-        f"fv = {_g(ss.jac.fv)}",
-        f"gu = {_g(ss.jac.gu)}",
-        f"gv = {_g(ss.jac.gv)}",
-        f"tr = {_g(ode.tr)}",
-        f"det = {_g(ode.det)}",
-        f"det_borderline = {ode.det_borderline}",
-        f"ode_stable = {ode.stable}",
-        f"activator_inhibitor = {ode.activator_inhibitor}",
-        f"theta = {_g(cfg.theta)}",
-        f"theta_c = {_g(rng.theta_c)}",
-        f"eta_minus = {'none' if rng.is_empty else _g(rng.eta_minus)}",
-        f"eta_plus = {'none' if rng.is_empty else _g(rng.eta_plus)}",
-        f"unstable_count = {count}",
-        f"dominant_mode = {rep.dominant.n if rep.dominant else 'none'}",
-        "verdict = " + (f"pattern expected ({count} unstable modes)" if count
-                        else "converges to equilibrium"),
-        "# modes: n, eta, lambda, residual, unstable",
-    ]
-    out += ["mode[%d] = %.17g %.17g %.17g %d"
-            % (m.n, m.eta, m.lam, m.residual, m.eta in rng) for m in rep.modes]
-    return "\n".join(out) + "\n"
+    record = {
+        "M": ss.M, "u_bar": ss.u_bar, "v_bar": ss.v_bar,
+        "fu": ss.jac.fu, "fv": ss.jac.fv, "gu": ss.jac.gu, "gv": ss.jac.gv,
+        "tr": ode.tr, "det": ode.det, "det_borderline": ode.det_borderline,
+        "ode_stable": ode.stable, "activator_inhibitor": ode.activator_inhibitor,
+        "theta": cfg.theta, "theta_c": rng.theta_c,
+        "eta_minus": rng.eta_minus, "eta_plus": rng.eta_plus,  # None if empty
+        "unstable_count": count,
+        "dominant_mode": rep.dominant.n if rep.dominant else None,
+        "verdict": (f"pattern expected ({count} unstable modes)" if count
+                    else "converges to equilibrium"),
+    }
+    modes = ["mode[%d] = %.17g %.17g %.17g %d\n"
+             % (m.n, m.eta, m.lam, m.residual, m.eta in rng) for m in rep.modes]
+    return "".join(["# stability analysis\n", _lines(record),
+                    "# modes: n, eta, lambda, residual, unstable\n", *modes])
 
 
 def _write_file(path: Path, blocks: typing.Iterable[str]):
@@ -267,40 +264,15 @@ def _svg_profile(path: Path, grid, values, label: str):
     _write_file(path, ["\n".join(svg) + "\n"])
 
 
-def simulate(cfg: RunConfig) -> fdm.SimResult:
-    u0, v0 = initial_data(cfg, fdm.build_grid(cfg))
-    return fdm.run(cfg, (u0, v0), cfg.T)
-
-
-def _format_sim_report(cfg: RunConfig, res: fdm.SimResult) -> str:
-    U = res.u
-    var_l, var_r = fdm.side_variation(U, res.grid)
-    lines = [
-        "# simulation report",
-        f"converged = {res.converged}",
-        f"t_final = {_g(res.t_final)}",
-        f"n_steps = {res.n_steps}",
-        f"jump_u = {_g(res.jump[0])}",
-        f"jump_v = {_g(res.jump[1])}",
-        f"supvar_u_l = {_g(var_l)}",
-        f"supvar_u_r = {_g(var_r)}",
-        f"mass_initial = {_g(res.mass_initial)}",
-        f"mass_final = {_g(res.mass_series[-1][1])}",
-        f"mass_drift = {_g(res.mass_drift)}",
-        "# resolved configuration",
-    ]
-    lines += serialize_config(cfg).rstrip("\n").splitlines()
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(cfg: RunConfig, out_dir: str | Path, svg: bool = False) -> fdm.SimResult:
-    res = simulate(cfg)
+    res = fdm.run(cfg, initial_data(cfg, fdm.build_grid(cfg)), cfg.T)
     _write_simulation(cfg, res, out_dir, svg)
     return res
 
 
 def _write_simulation(cfg: RunConfig, res: fdm.SimResult, out_dir: str | Path,
-                      svg: bool = False):
+                      svg: bool = False) -> dict:
+    """Write a run's files; return the run record that `report.txt` renders."""
     out = Path(out_dir)
     manifest = ["index,t,file,mass\n"]
     for i, ((t, U, V), (_, m)) in enumerate(zip(res.snapshots, res.mass_series)):
@@ -309,10 +281,19 @@ def _write_simulation(cfg: RunConfig, res: fdm.SimResult, out_dir: str | Path,
         manifest.append("%d,%.17g,%s,%.17g\n" % (i, t, name, m))
     _write_file(out / "snapshots.csv", ["".join(manifest)])
     _write_file(out / "final.csv", _profile_csv(res.grid, res.u, res.v))
-    _write_file(out / "report.txt", [_format_sim_report(cfg, res)])
+    var_l, var_r = fdm.side_variation(res.u, res.grid)
+    run = {"converged": res.converged, "t_final": res.t_final,
+           "n_steps": res.n_steps, "jump_u": res.jump[0], "jump_v": res.jump[1],
+           "supvar_u_l": var_l, "supvar_u_r": var_r,
+           "mass_initial": res.mass_initial, "mass_final": res.mass_series[-1][1],
+           "mass_drift": res.mass_drift}
+    _write_file(out / "report.txt", ["# simulation report\n", _lines(run),
+                                     "# resolved configuration\n",
+                                     serialize_config(cfg)])
     if svg:
         _svg_profile(out / "final_u.svg", res.grid, res.u, "u")
         _svg_profile(out / "final_v.svg", res.grid, res.v, "v")
+    return run
 
 
 # ------------------------------------------------------------------ spectrum
@@ -346,16 +327,12 @@ _SUMMARY_COLUMNS = ("count", "converged", "jump_u", "jump_v", "supvar_l",
                     "supvar_r", "crossings_l", "crossings_r", "mass_drift")
 
 
-def _child_summary(rep: AnalysisReport, res: fdm.SimResult) -> dict:
-    var_l, var_r = fdm.side_variation(res.u, res.grid)
-    sc_l, sc_r = fdm.sign_changes(res.u, rep.ss.u_bar, res.grid)
-    return dict(zip(_SUMMARY_COLUMNS, (len(rep.unstable), res.converged,
-                                       *res.jump, var_l, var_r, sc_l, sc_r,
-                                       res.mass_drift)))
-
-
-def _cell(value) -> str:
-    return _g(value) if isinstance(value, float) else str(int(value))
+def _csv_cell(text: str) -> str:
+    """`text` as one CSV cell: quoted, with `"` doubled, if it holds `,`, `"`
+    or a line break (RFC 4180), else as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _failure(exc: Exception) -> dict:
@@ -393,8 +370,11 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
             results[row] = _failure(res)
             continue
         try:
-            _write_simulation(child, res, Path(out_dir) / f"{param}_{values[row]:g}")
-            results[row] = _child_summary(rep, res)
+            run = _write_simulation(child, res, Path(out_dir) / f"{param}_{values[row]:g}")
+            results[row] = dict(zip(_SUMMARY_COLUMNS, (
+                len(rep.unstable), int(run["converged"]), run["jump_u"],
+                run["jump_v"], run["supvar_u_l"], run["supvar_u_r"],
+                *fdm.sign_changes(res.u, rep.ss.u_bar, res.grid), run["mass_drift"])))
         except Exception as exc:
             results[row] = _failure(exc)
 
@@ -402,22 +382,23 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float],
     summary = []
     for v, r in zip(values, results):
         cells = ([""] * len(_SUMMARY_COLUMNS) if "error" in r
-                 else [_cell(r[c]) for c in _SUMMARY_COLUMNS])
-        rows.append(",".join((param, _g(v), *cells, r.get("error", "ok"))))
+                 else [_text(r[c]) for c in _SUMMARY_COLUMNS])
+        rows.append(",".join((param, _text(v), *cells, _csv_cell(r.get("error", "ok")))))
         summary.append({"param": param, "value": v, **r})
     _write_file(Path(out_dir) / "sweep_summary.csv", ["\n".join(rows) + "\n"])
     return summary
 
 
-def _parse_sweep_values(cfg: RunConfig, text: str) -> list[float]:
+def _parse_sweep_values(cfg: RunConfig, param: str, text: str) -> list[float]:
     values = []
     for tok in text.split(","):
         tok = tok.strip()
         if tok == "theta_c":
-            # theta_c depends on the steady state only, not on k_u: read it
-            # from the coupled analysis
-            rep = analyze(replace(cfg, k_u=None))
-            values.append(rep.rng.theta_c)
+            if param != "theta":
+                raise ConfigError("values", f"theta_c is a value of theta, not of {param}")
+            # theta_c depends on the steady state only, not on k_u or the spectrum
+            values.append(stability.instability_range(cfg.theta,
+                                                      _steady_state(cfg).jac).theta_c)
             continue
         try:
             values.append(float(tok))
@@ -431,17 +412,15 @@ def _parse_sweep_values(cfg: RunConfig, text: str) -> list[float]:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged
-    defaults = RunConfig()
+    rules = {"k_u": "theta*k_v", "dt": "min(1e-2, eps/4)"}  # the None defaults
+    keys = [f"{f.name}={rules[f.name] if f.default is None else f.default}"
+            for f in fields(RunConfig)]
     p = argparse.ArgumentParser(
         prog="membrane-rd",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "config defaults: L=1, x_m=0.5, dx=1/200, D_vl=D_vr=1, "
-            f"theta={defaults.theta}, k_v=1, k_u=theta*k_v, eps=1, alpha=1, "
-            "Theta_scheme=1, dt=min(1e-2, eps/4), preset=paper-fig3, "
-            "T=1000, seed=0"
-        ),
+        epilog="config keys and defaults:\n  " + ",\n  ".join(
+            ", ".join(keys[i:i + 5]) for i in range(0, len(keys), 5)),
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -461,7 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
     sp.add_argument("--values", required=True,
-                    help="comma-separated values; 'theta_c' is accepted")
+                    help="comma-separated values; 'theta_c' is accepted with "
+                         "--param theta")
     return p
 
 
@@ -481,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "spectrum":
             cmd_spectrum(cfg, args.n_max, args.out)
         elif args.cmd == "sweep":
-            values = _parse_sweep_values(cfg, args.values)
+            values = _parse_sweep_values(cfg, args.param, args.values)
             summary = cmd_sweep(cfg, args.param, values, args.out)
             failed = [s for s in summary if "error" in s]
             for s in failed:

@@ -1,3 +1,4 @@
+import csv
 import errno
 import importlib
 import importlib.util
@@ -18,8 +19,12 @@ from membrane_rd import fdm, spectrum, stability
 from membrane_rd.cli import (
     ConfigError,
     RunConfig,
+    _KEY_TYPES,
+    _build_parser,
+    _parse_sweep_values,
     _profile_csv,
     _sweep_child,
+    analyze,
     _write_file,
     cmd_analyze,
     cmd_simulate,
@@ -282,8 +287,8 @@ def test_analyze_refuses_a_decoupled_k_u(tmp_path, capsys):
         assert main(["analyze", "--config", str(cfgf), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: k_u: ")
     assert not (out / "analysis.txt").exists()
-    # a sweep's theta_c re-derives k_u = theta*k_v, as theta_c depends only
-    # on the steady state; its children keep k_u, and analyze refuses them
+    # a sweep's theta_c is read from the steady state alone, which k_u does
+    # not change; its children keep k_u, and analyze refuses them
     with pytest.warns(UserWarning, match="k_u"):
         assert main(["sweep", "--config", str(cfgf), "--param", "theta",
                      "--values", "theta_c,0.1", "--out", str(out)]) == 0
@@ -307,11 +312,56 @@ def test_sweep_child_keeps_a_decoupled_k_u(tmp_path):
     with pytest.warns(UserWarning, match="k_u"):
         assert main(["sweep", "--config", str(cfgf), "--param", "theta",
                      "--values", "0.2", "--out", str(out)]) == 0
-    header, row = (out / "sweep_summary.csv").read_text().splitlines()
-    cells = row.split(",", len(header.split(",")) - 1)  # the status has commas
+    header, cells = csv.reader((out / "sweep_summary.csv").open(newline=""))
+    assert len(cells) == len(header)
     assert cells[0] == "theta" and float(cells[1]) == 0.2
     assert cells[-1].startswith("ConfigError: k_u: 0.05 is not theta*k_v = 0.2: ")
     assert not (out / "theta_0.2").exists()
+
+
+def test_sweep_quotes_a_status_that_holds_commas(tmp_path):
+    text = "dx = 0.025\nT = 2\nk_u = 0.05\n"
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(text)
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="k_u"):
+        assert main(["sweep", "--config", str(cfgf), "--param", "theta",
+                     "--values", "0.2,theta_c", "--out", str(out)]) == 0
+        cfg = parse_config(text)
+        header, *rows = csv.reader((out / "sweep_summary.csv").open(newline=""))
+        assert len(header) == 12 and len(rows) == 2
+        for cells in rows:
+            assert len(cells) == 12
+            with pytest.raises(ConfigError) as exc:
+                analyze(_sweep_child(cfg, "theta", float(cells[1])))
+            assert "," in str(exc.value)
+            assert cells[-1] == f"ConfigError: {exc.value}"
+
+
+def test_sweep_reads_theta_c_from_the_steady_state_alone(tmp_path):
+    # a base theta too small to analyze: no child runs at it, so it does not
+    # matter to theta_c, which depends on the steady state only
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.025\nT = 2\ntheta = 1e-20\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfgf), "--param", "theta",
+                 "--values", "theta_c,0.2", "--out", str(out)]) == 0
+    _, row, _ = csv.reader((out / "sweep_summary.csv").open(newline=""))
+    assert float(row[1]) == 0.31016930894771955 and row[-1] == "ok"
+    # the value of the analysis, bit for bit, without its spectrum
+    cfg = parse_config("dx = 0.025\nT = 2\n")
+    assert _parse_sweep_values(cfg, "theta", "theta_c") == [analyze(cfg).rng.theta_c]
+
+
+@pytest.mark.parametrize("param", ["k_v", "eps"])
+def test_sweep_refuses_theta_c_for_another_param(tmp_path, capsys, param):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("dx = 0.025\nT = 2\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfgf), "--param", param,
+                 "--values", "theta_c,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: values: theta_c ")
+    assert not out.exists()
 
 
 def test_spectrum_refuses_more_than_max_modes(tmp_path, capsys):
@@ -570,9 +620,14 @@ def test_analyze_and_spectrum_load_no_scipy(tmp_path):
     assert (tmp_path / "sp" / "spectrum.csv").exists()
 
 
-def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):
-    from membrane_rd.cli import _build_parser
+def test_help_lists_every_config_key():
+    text = _build_parser().format_help()
+    for key in _KEY_TYPES:
+        assert f"{key}=" in text, key
+    assert "k_u=theta*k_v" in text and "dt=min(1e-2, eps/4)" in text
 
+
+def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text(FAST)
 

@@ -3,7 +3,7 @@
 Every non-numeric token must match exactly.  Numbers match to a relative
 1e-12, the residual columns to an absolute 1e-12, as a residual is
 rounding noise.  This pins the format that readers of `analysis.txt`,
-`spectrum.csv` and `sweep_summary.csv` parse.
+`report.txt`, `spectrum.csv` and `sweep_summary.csv` parse.
 """
 
 import math
@@ -29,10 +29,16 @@ CASES = {
     "analysis_D_vr_0.1.txt": ("D_vr = 0.1\n", ["analyze"], "analysis.txt"),
     "spectrum_k_v_3_x_m_0.3.csv": ("k_v = 3\nx_m = 0.3\n",
                                    ["spectrum", "--n-max", "50"], "spectrum.csv"),
+    "report_theta_0.2.txt": ("dx = 0.025\nT = 5\ntheta = 0.2\n", ["simulate"],
+                             "report.txt"),
     # theta = -1 fails its config, which leaves an error row
     "sweep_summary_theta.csv": ("T = 5\n", ["sweep", "--param", "theta", "--values",
                                             "theta_c,0.2,-1,0.01"],
                                 "sweep_summary.csv"),
+    # analyze refuses each decoupled child; the quoted status holds commas
+    "sweep_summary_decoupled.csv": ("dx = 0.025\nT = 2\nk_u = 0.05\n",
+                                    ["sweep", "--param", "theta", "--values",
+                                     "0.2,theta_c"], "sweep_summary.csv"),
 }
 
 # index of the residual among a line's space- or comma-separated fields
