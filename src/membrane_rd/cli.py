@@ -8,7 +8,8 @@ Commands:
 
 Every command writes its files to the directory D, by default `out`.
 Config files are `key = value` lines with `#` comments.  Exit codes:
-0 success, 2 config error, 3 numerical blow-up, 4 I/O failure.
+0 success, 2 config error, 3 numerical blow-up, 4 I/O failure, 5 a
+numerical method that failed (a root that did not converge).
 """
 
 from __future__ import annotations
@@ -478,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

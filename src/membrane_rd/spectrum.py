@@ -146,10 +146,13 @@ def _roots(params: ModelParams, geometry, d, r, maxiter: int = 100):
     mid-bracket (large k).  Newton steps in w follow.  The sign of
     det p_l p_r = (k F - 1) (p_l p_r)^2 tells on which side of the root an
     iterate lies; a step that would leave the bracket so narrowed bisects
-    it instead, so no iterate reaches an end, where det vanishes at a
-    shared value.  A root stops on its own after a step below 1e-14 w or
+    it instead.  A root stops on its own after a step below 1e-14 w or
     1e-7 of the start's distance to the nearer end, where Newton converges
-    quadratically.
+    quadratically, or once the bisection leaves it where it is: the bracket
+    has then narrowed to its end w, which lies within an ulp of the root.
+    That happens when a root lies within an ulp of a shared value, where
+    det and its derivative are rounding noise (mode 667 at k_v = 1e-10,
+    x_m = 0.1, D_vr = 2.25).
     """
     lo, gap, r_lo = d[:-1], d[1:] - d[:-1], r[:-1]
     c = 0.0 if params.k_v >= PERMEABILITY_INF else 1.0 / params.k_v
@@ -171,6 +174,7 @@ def _roots(params: ModelParams, geometry, d, r, maxiter: int = 100):
         new = w - step
         done = np.abs(step) <= tol
         new = np.where((new > a) & (new < z) | done, new, 0.5 * (a + z))
+        done |= new == w  # the bracket narrowed to its end w: nothing moves
         w = np.where(active, new, w)
         active &= ~done
         if not active.any():
@@ -179,22 +183,13 @@ def _roots(params: ModelParams, geometry, d, r, maxiter: int = 100):
         f"membrane determinant: {int(active.sum())} roots did not converge")
 
 
-def eigenvalues(params: ModelParams, n_max: int) -> list[EigenMode]:
-    """Modes 0..n_max of the membrane-feeling family, sorted by eigenvalue.
-
-    Mode 0 is the constant 1/sqrt(L).  For a sealed membrane (k_v below
-    1e-12) the zero eigenvalue is double: mode 1 is the per-side constant
-    orthogonal to it, and the modes are the distinct sealed values.  A
-    permeability at or above the 1e8 sentinel is taken as infinite.
-    """
-    if not 1 <= n_max <= MAX_MODES:
-        raise ValueError(f"n_max must be between 1 and {MAX_MODES}, got {n_max}")
-    L, x_m = params.L, params.x_m
-    spans = np.array([[x_m], [L - x_m]])
+def _solve(params: ModelParams, n_max: int) -> np.ndarray:
+    """Rows eta, A, B, a_n, b_n and residual of modes 1..n_max (see
+    `EigenMode`); they do not depend on theta."""
+    spans = np.array([[params.x_m], [params.L - params.x_m]])
     d, r, sides = _sealed_values(params, n_max)
     geometry = _geometry(params)
-    sealed = params.k_v < K_ZERO_TOL
-    if sealed:
+    if params.k_v < K_ZERO_TOL:
         eta = d[:-1]
         w = np.sqrt(eta)
         t, cos, *_ = _sides(w, geometry)
@@ -221,17 +216,70 @@ def eigenvalues(params: ModelParams, n_max: int) -> list[EigenMode]:
     seg = 0.5 * spans * (1.0 + np.sinc(t / (0.5 * math.pi)))
     norm = np.sqrt((amp * amp * seg).sum(0))
     amp /= np.copysign(norm, np.where(amp[1] != 0.0, amp[1], amp[0]))
-    A, B = amp.tolist()
-    a_n, b_n = (w / np.sqrt([[params.D_vl], [params.D_vr]])).tolist()
+    return np.vstack((eta, amp, w / np.sqrt([[params.D_vl], [params.D_vr]]), residual))
 
+
+class _Memo:
+    """The solved spectra of the operators used last, by (L, x_m, D_vl,
+    D_vr, k_v), holding at most `MAX_MODES` modes in all.
+
+    An entry holds the rows of `_solve` for modes 1..n and serves any
+    shorter list as its prefix: each root stops on its own, and the sealed
+    values up to d_n do not depend on the list's length, so a prefix is the
+    list a solve of that length gives, bit for bit.  A longer request
+    solves again and replaces the entry, a solve that raises stores
+    nothing, and the least recently used operator is evicted first.  It
+    takes no lock: the program calls it from one thread.
+    """
+
+    def __init__(self):
+        self.entries = {}  # key -> _solve rows, least recently used first
+        self.modes = 0  # the modes held by all entries
+
+    def rows(self, params: ModelParams, n_max: int) -> np.ndarray:
+        key = (params.L, params.x_m, params.D_vl, params.D_vr, params.k_v)
+        held = self.entries.get(key)
+        if held is not None and held.shape[1] >= n_max:
+            self.entries[key] = self.entries.pop(key)  # now the most recent
+            return held
+        rows = _solve(params, n_max)  # a solve that raises stores nothing
+        self.entries.pop(key, None)
+        self.modes += n_max - (0 if held is None else held.shape[1])
+        while self.modes > MAX_MODES:
+            self.modes -= self.entries.pop(next(iter(self.entries))).shape[1]
+        self.entries[key] = rows
+        return rows
+
+    def clear(self):
+        self.entries.clear()
+        self.modes = 0
+
+
+_memo = _Memo()
+
+
+def eigenvalues(params: ModelParams, n_max: int) -> list[EigenMode]:
+    """Modes 0..n_max of the membrane-feeling family, sorted by eigenvalue.
+
+    Mode 0 is the constant 1/sqrt(L).  For a sealed membrane (k_v below
+    1e-12) the zero eigenvalue is double: mode 1 is the per-side constant
+    orthogonal to it, and the modes are the distinct sealed values.  A
+    permeability at or above the 1e8 sentinel is taken as infinite.  The
+    modes do not depend on theta, so each operator is solved once per
+    process and its longest list kept (`_Memo`); only lam = theta*eta is
+    made per call.
+    """
+    if not 1 <= n_max <= MAX_MODES:
+        raise ValueError(f"n_max must be between 1 and {MAX_MODES}, got {n_max}")
+    L, x_m, theta = params.L, params.x_m, params.theta
+    eta, A, B, a_n, b_n, residual = _memo.rows(params, n_max)[:, :n_max].tolist()
+    sealed = params.k_v < K_ZERO_TOL
     const = 1.0 / math.sqrt(L)
-    theta = params.theta
     modes = [EigenMode(0, 0.0, 0.0, const, const, 0.0, 0.0, L, x_m, 0.0, sealed)]
     modes += [EigenMode(n, e, theta * e, amp_l, amp_r, wl, wr, L, x_m, res,
                         sealed and e == 0.0)
               for n, e, amp_l, amp_r, wl, wr, res in zip(
-                  range(1, n_max + 1), eta.tolist(), A, B, a_n, b_n,
-                  residual.tolist())]
+                  range(1, n_max + 1), eta, A, B, a_n, b_n, residual)]
     return modes
 
 

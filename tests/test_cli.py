@@ -2,6 +2,7 @@ import csv
 import errno
 import importlib
 import importlib.util
+import math
 import subprocess
 import sys
 import textwrap
@@ -372,6 +373,73 @@ def test_spectrum_refuses_more_than_max_modes(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: n_max must be between")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_max", [667, 1000])
+def test_spectrum_solves_a_root_within_an_ulp_of_a_shared_value(tmp_path, capsys,
+                                                                n_max):
+    # mode 667's bracket starts at the shared sealed value 100 pi^2 111^2 of
+    # the halves (0, 0.1) and (0.1, 1), and at k_v = 1e-10 its root lies
+    # within an ulp of it, where the determinant and its derivative are
+    # rounding noise: the bracket narrows to that end, which is the root
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("k_v = 1e-10\nx_m = 0.1\nD_vr = 2.25\n")
+    assert main(["spectrum", "--config", str(cfgf), "--n-max", str(n_max),
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "spectrum.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    eta = [float(r[1]) for r in rows]
+    residual = [float(r[4]) for r in rows]
+    assert len(eta) == n_max + 1 and eta[0] == 0.0
+    # the sealed values in units of pi^2/9: 900 j^2 on the left (D = 1,
+    # length 0.1) and 25 j^2 on the right (D = 2.25, length 0.9), so a shared
+    # value is an equal integer
+    d = sorted({0, *(900 * j * j for j in range(1, n_max + 1)),
+                *(25 * j * j for j in range(1, n_max + 1))})[:n_max + 1]
+    d = [v * math.pi ** 2 / 9 for v in d]
+    for n in range(1, n_max + 1):  # to rounding, each in [d_{n-1}, d_n)
+        assert d[n - 1] * (1 - 1e-15) <= eta[n] < d[n], n
+    assert residual[667] <= max(residual[666:669:2])
+
+
+def test_main_reports_a_root_that_did_not_converge(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("membrane determinant: 1 roots did not converge")
+
+    monkeypatch.setattr(spectrum, "_roots", fail)
+    monkeypatch.setattr(spectrum, "_memo", spectrum._Memo())
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("k_v = 0.37\n")
+    for argv in (["analyze"], ["spectrum", "--n-max", "20"]):
+        assert main([argv[0], "--config", str(cfgf), *argv[1:],
+                     "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == (
+            "numerical error: membrane determinant: 1 roots did not converge\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_analysis_from_a_warm_memo_is_the_fresh_process_one(tmp_path, monkeypatch):
+    # analyze lists a prefix of the 1000 modes a spectrum table solved in
+    # the same process, byte for byte what a process of its own writes
+    monkeypatch.setattr(spectrum, "_memo", spectrum._Memo())
+    src = Path(membrane_rd.__file__).resolve().parents[1]
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("theta = 3e-4\nk_v = 2.5\nx_m = 0.3\n")
+    fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from membrane_rd.cli import main; sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-I", "-c", script, str(src), "analyze",
+                           "--config", str(cfgf), "--out", str(fresh)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["spectrum", "--config", str(cfgf), "--n-max", "1000",
+                 "--out", str(tmp_path / "table")]) == 0
+    assert main(["analyze", "--config", str(cfgf), "--out", str(warm)]) == 0
+    assert [rows.shape[1] for rows in spectrum._memo.entries.values()] == [1000]
+    text = (warm / "analysis.txt").read_bytes()
+    assert b"pattern expected" in text
+    assert text == (fresh / "analysis.txt").read_bytes()
 
 
 # ------------------------------------------------------------------ simulate

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from membrane_rd import (
     project,
     steady_state,
 )
+from membrane_rd import spectrum
 from membrane_rd.spectrum import determinant, mode_values
 
 from conftest import make_params, q_root_oracle
@@ -169,10 +172,78 @@ def test_bracket_count_matches_sign_change_scan():
         assert changes == expect, (x_m, k_v)
 
 
-def test_a_shorter_list_is_a_prefix():
-    # each root stops on its own, so analyze may list a prefix of its spectrum
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty spectrum memo for the test, the process's own restored after."""
+    fresh = spectrum._Memo()
+    monkeypatch.setattr(spectrum, "_memo", fresh)
+    return fresh
+
+
+def test_a_shorter_list_is_a_prefix(memo):
+    # each root stops on its own, so a shorter list is a prefix of a longer
+    # one; both are solved here, with the memo emptied before each call
     for p in (make_params(k_v=1.0, x_m=0.3), make_params(k_v=10.0, D_vr=0.3)):
-        assert eigenvalues(p, 40)[:9] == eigenvalues(p, 8)
+        longer = eigenvalues(p, 40)
+        memo.clear()
+        assert longer[:9] == eigenvalues(p, 8)
+
+
+def test_memo_serves_the_lists_a_solve_gives(memo):
+    # a list served from the memo, after shorter or longer requests of the
+    # same operator and among other operators, is the list an uncached
+    # solve of that length gives
+    sizes = (1, 8, 34, 300, 1000)
+    ops = [make_params(k_v=k_v, x_m=x_m, D_vr=D_vr) for k_v, x_m, D_vr in
+           itertools.product((0.0, 1e-6, 1.0, 1e8), (0.5, 0.3, 0.1), (1.0, 0.1, 2.25))]
+    solved = {}
+    for i, p in enumerate(ops):
+        for n in sizes:
+            memo.clear()
+            solved[i, n] = eigenvalues(p, n)
+    memo.clear()
+    for order in (sizes, sizes[::-1]):  # the second pass is served throughout
+        for i, p in enumerate(ops):
+            for n in order:
+                assert eigenvalues(p, n) == solved[i, n], (p, n)
+    assert memo.modes == len(ops) * 1000
+    for i, p in enumerate(ops):
+        # theta is no part of the operator: only lam follows it
+        other = eigenvalues(replace(p, theta=0.2, k_u=None), 34)
+        assert [m._replace(lam=0.0) for m in other] == [
+            m._replace(lam=0.0) for m in solved[i, 34]]
+        assert [m.lam for m in other] == [0.2 * m.eta for m in other]
+
+
+def test_memo_holds_at_most_max_modes(memo, monkeypatch):
+    # the bound is read where the memo stores; a small one shows the
+    # eviction of the least recently used operator
+    monkeypatch.setattr(spectrum, "MAX_MODES", 100)
+    ops = [make_params(k_v=k) for k in (0.5, 1.0, 2.0, 4.0)]
+    for p, n in ((ops[0], 40), (ops[1], 30), (ops[0], 8), (ops[2], 30),
+                 (ops[3], 60), (ops[1], 100), (ops[2], 5), (ops[3], 1)):
+        modes = eigenvalues(p, n)
+        assert len(modes) == n + 1
+        assert memo.modes == sum(r.shape[1] for r in memo.entries.values()) <= 100
+    # ops[1] filled the memo, then ops[2] evicted it
+    assert [key[-1] for key in memo.entries] == [2.0, 4.0]
+    assert memo.modes == 6
+
+
+def test_a_solve_that_raises_stores_nothing(memo, monkeypatch):
+    p = make_params(k_v=3.0, x_m=0.3)
+    eigenvalues(p, 8)
+    held = dict(memo.entries)
+
+    def fail(*args, **kwargs):
+        raise ArithmeticError("membrane determinant: 1 roots did not converge")
+
+    monkeypatch.setattr(spectrum, "_roots", fail)
+    for q, n in ((p, 40), (make_params(k_v=5.0), 8)):
+        with pytest.raises(ArithmeticError):
+            eigenvalues(q, n)
+        assert memo.entries.keys() == held.keys() and memo.modes == 8
+        assert all(memo.entries[key] is rows for key, rows in held.items())
 
 
 def test_lambda_is_theta_scaled(paper_jac):
