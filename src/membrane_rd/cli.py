@@ -276,7 +276,8 @@ def _write_simulation(cfg: RunConfig, res: fdm.SimResult, out_dir: str | Path,
     """Write a run's files; return the run record that `report.txt` renders."""
     out = Path(out_dir)
     manifest = ["index,t,file,mass\n"]
-    for i, ((t, U, V), (_, m)) in enumerate(zip(res.snapshots, res.mass_series)):
+    masses = res.mass_series
+    for i, ((t, U, V), (_, m)) in enumerate(zip(res.snapshots, masses)):
         name = f"snapshot_{i:03d}.csv"
         _write_file(out / name, _profile_csv(res.grid, U, V))
         manifest.append("%d,%.17g,%s,%.17g\n" % (i, t, name, m))
@@ -286,7 +287,7 @@ def _write_simulation(cfg: RunConfig, res: fdm.SimResult, out_dir: str | Path,
     run = {"converged": res.converged, "t_final": res.t_final,
            "n_steps": res.n_steps, "jump_u": res.jump[0], "jump_v": res.jump[1],
            "supvar_u_l": var_l, "supvar_u_r": var_r,
-           "mass_initial": res.mass_initial, "mass_final": res.mass_series[-1][1],
+           "mass_initial": masses[0][1], "mass_final": masses[-1][1],
            "mass_drift": res.mass_drift}
     _write_file(out / "report.txt", ["# simulation report\n", _lines(run),
                                      "# resolved configuration\n",
@@ -315,11 +316,12 @@ _SWEEP_PARAMS = ("theta", "k_v", "eps")
 
 
 def _sweep_child(cfg: RunConfig, param: str, value: float) -> RunConfig:
-    # the coupled regime k_u = theta*k_v, and for eps the dt cap, are
-    # re-derived; a k_u off the coupled regime is kept, for analyze to refuse
+    # a k_u in the coupled regime k_u = theta*k_v and a dt at its rule are
+    # re-derived for the child; a k_u off the coupled regime is kept, for
+    # analyze to refuse, and so is a dt the config set apart from the rule
     return replace(cfg, **{param: value},
                    k_u=None if cfg.coupled else cfg.k_u,
-                   dt=None if param == "eps" else cfg.dt)
+                   dt=None if cfg.dt == cfg.dt_rule else cfg.dt)
 
 
 # the columns of sweep_summary.csv between value and status, which a

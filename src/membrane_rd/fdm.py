@@ -29,21 +29,22 @@ that overflows and a membrane face that is not finite.
 
 One kernel steps B >= 1 parameter sets (members) at once, as one stacked
 state w = [U_1 ... U_B, V_1 ... V_B].  A member is one record, built by
-``_member``: its checked initial state, faces, factor, linearisation and
-mode, and as it steps its step count, snapshot plan and snapshots.  The
-kernel's faces are each block's own faces with an exact 0.0 at every block
-junction, so C is block diagonal.  I + T*C is factored once per member as
-L D L^T by ``pttrf``: a diagonal D and the unit sub-diagonal of L.  The
-batch factor joins the members' D and sub-diagonals with the same exact 0.0
-at every junction, and each step is one ``pttrs``, solving in place.
-A junction face carries a zero flux and adds nothing to the diagonal, and
-a zero sub-diagonal entry adds b*0 to both substitutions, so the flux
-difference and the solve do the same floating-point operations on every
-entry as a member stepped alone.  Each member's dt, eps, alpha (or its
-linearisation) enter as arrays with one entry per unknown, at B = 1 too:
-the same roundings, and a ufunc costs less with an array operand than with
-a Python float.  The face fluxes sit between a +0.0 and a -0.0 in one
-buffer, so rhs = -C w is a single difference.  Both reactions add dt*f to
+``_member``: its checked initial state, faces, linearisation and mode, and
+as it steps its step count, snapshot plan and snapshots.  The kernel's
+faces are each block's own faces with an exact 0.0 at every block junction,
+so C is block diagonal.  The kernel builds I + T*C from them, with each
+member's T, and factors it once as L D L^T by ``pttrf``: a diagonal D and
+the unit sub-diagonal of L.  Each step is one ``pttrs``, solving in place.
+A junction face carries a zero flux and adds nothing to the diagonal, its
+0.0 off-diagonal entry restarts ``pttrf``'s recursion, so each block's
+factor is bitwise the one of its member alone, and a zero sub-diagonal entry
+adds b*0 to both substitutions: the flux difference and the solve do the
+same floating-point operations on every entry as a member stepped alone.
+Each member's dt, eps, alpha (or its linearisation) enter as arrays with
+one entry per unknown, at B = 1 too: the same roundings, and a ufunc costs
+less with an array operand than with a Python float.  The face fluxes sit
+between a +0.0 and a -0.0 in one buffer, so rhs = -C w is a single
+difference.  Both reactions add dt*f to
 U and subtract it from V: g = -f, and the linearisation at the steady state
 of the member's mass has gu = -fu and gv = -fv bitwise.
 
@@ -69,10 +70,9 @@ A membrane permeability at or above ``PERMEABILITY_INF`` is stepped as
 that sentinel, the transparent membrane: a larger k would swamp the 1 of
 I + T*C in rounding and lose mass without changing the physics.
 
-scipy is imported on the first factor: ``_member`` imports ``pttrf`` and
-``_kernel`` imports ``pttrs`` where they are used, once per member or
-batch, so importing this module, and the analysis that uses its faces and
-grid, loads no scipy.
+scipy is imported on the first factor: ``_kernel`` imports ``pttrf`` and
+``pttrs`` where they are used, once per batch, so importing this module,
+and the analysis that uses its faces and grid, loads no scipy.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def _kernel(members: list[_Member]):
     The kernel reuses the buffers made here; callers silence floating-point
     warnings once around their loop.
     """
-    from scipy.linalg.lapack import dpttrs  # a local of advance's closure
+    from scipy.linalg.lapack import dpttrf, dpttrs  # dpttrs: a local of advance
 
     mode = members[0].mode
     B = len(members)
@@ -260,13 +260,18 @@ def _kernel(members: list[_Member]):
         fu = spread([s.jac.fu for s in lins])
         fv = spread([s.jac.fv for s in lins])
 
-    faces = _join([m.faces_u for m in members] + [m.faces_v for m in members])
-    # a member's factor is block diagonal, so the batch factor is theirs side
-    # by side, joined like the faces
-    diag = np.concatenate([m.diag[:m.n] for m in members]
-                          + [m.diag[m.n:] for m in members])
-    sub = _join([m.sub[:m.n - 1] for m in members]
-                + [m.sub[m.n:] for m in members])
+    blocks = [m.faces_u for m in members] + [m.faces_v for m in members]
+    thetas = [m.params.Theta_scheme for m in members] * 2
+    faces = _join(blocks)
+    # I + T*C from the faces, each member's T on its own blocks: the diagonal
+    # d_i = 1 + T*f_i + T*f_{i-1}, summed in this order, and e = -T*f
+    tf = _join([T * f for T, f in zip(thetas, blocks)])
+    d = np.ones(2 * nu)
+    d[:-1] += tf
+    d[1:] += tf
+    diag, sub, info = dpttrf(d, _join([-T * f for T, f in zip(thetas, blocks)]))
+    if info:
+        raise np.linalg.LinAlgError(f"pttrf: info = {info}")
     # the face fluxes between a +0.0 and a -0.0, so that one difference gives
     # rhs = -C w with rhs[0] = flux[0] and rhs[-1] = -flux[-1] exactly
     flux_pad = np.zeros(2 * nu + 1)
@@ -377,13 +382,25 @@ class SimResult:
     converged: bool
     jump: tuple[float, float]
     snapshots: list          # (t, U, V) copies at geometrically spaced times
-    mass_series: list        # (t, dx*sum(U+V)) at the snapshot times
-    mass_drift: float        # max |mass - mass0| / |mass0| over the series;
-                             # max |mass - mass0| when mass0 is exactly 0
+
+    @property
+    def mass_series(self) -> list:
+        """(t, dx*sum(U+V)) at the snapshot times."""
+        return [(t, self.grid.dx * float(np.sum(U) + np.sum(V)))
+                for t, U, V in self.snapshots]
 
     @property
     def mass_initial(self) -> float:
         return self.mass_series[0][1]
+
+    @property
+    def mass_drift(self) -> float:
+        """max |mass - mass0| / |mass0| over the series; max |mass - mass0|
+        when mass0 is exactly 0."""
+        series = self.mass_series
+        mass0 = series[0][1]
+        drift = max(abs(m - mass0) for _, m in series)
+        return drift / abs(mass0) if mass0 else drift
 
 
 def _snapshot_times(T: float) -> list[float]:
@@ -420,41 +437,31 @@ class _Member:
     n: int                   # unknowns per species
     faces_u: np.ndarray
     faces_v: np.ndarray
-    diag: np.ndarray         # I + T*C on [U; V] = L D L^T: the 2n entries of D
-    sub: np.ndarray          # and the 2n-1 of L's sub-diagonal, 0.0 at the U/V seam
     linearization: SteadyState | None
     n_steps: int
     snapshot_steps: list     # latest first
     U: np.ndarray            # its state when the batch last changed
     V: np.ndarray
     snapshots: list
-    mass_series: list
 
     @property
     def next_event(self) -> int:
         return self.snapshot_steps[-1] if self.snapshot_steps else self.n_steps
 
     def record(self, t: float, U: np.ndarray, V: np.ndarray):
-        U, V = U.copy(), V.copy()
-        self.snapshots.append((t, U, V))
-        self.mass_series.append((t, self.grid.dx * float(np.sum(U) + np.sum(V))))
+        self.snapshots.append((t, U.copy(), V.copy()))
 
     def result(self, it: int, U, V, converged: bool) -> SimResult:
         t = it * self.params.dt
         U, V = U.copy(), V.copy()
         if self.snapshots[-1][0] != t:
             self.record(t, U, V)
-        mass0 = self.mass_series[0][1]
-        drift = max(abs(m - mass0) for _, m in self.mass_series)
-        if mass0:
-            drift /= abs(mass0)
         return SimResult(
             params=self.params, grid=self.grid,
             u=U, v=V,
             t_final=t, n_steps=it, converged=converged,
             jump=(membrane_jump(U, self.grid), membrane_jump(V, self.grid)),
-            snapshots=self.snapshots, mass_series=self.mass_series,
-            mass_drift=drift,
+            snapshots=self.snapshots,
         )
 
 
@@ -462,8 +469,6 @@ def _member(index: int, params: ModelParams, initial, T: float,
             mode: str) -> _Member:
     # in 'linearized' mode the member is linearised at the steady state of
     # the mass of its initial state
-    from scipy.linalg.lapack import dpttrf
-
     grid = build_grid(params)
     U = np.array(initial[0], dtype=float)
     V = np.array(initial[1], dtype=float)
@@ -473,29 +478,17 @@ def _member(index: int, params: ModelParams, initial, T: float,
                              f"grid ({grid.n_points} points)")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{species}: non-finite entries")
-    faces = faces_u, faces_v = assemble(params, "u"), assemble(params, "v")
+    faces_u, faces_v = assemble(params, "u"), assemble(params, "v")
     linearization = None
     if mode == "linearized":
         M = conserved_mass(U, V, grid)
         linearization = steady_state(M, params.eps, params.alpha)
-    n = grid.n_points
-    # I + T*C on [U; V] from the faces, 0.0 at the U/V seam: the diagonal
-    # d_i = 1 + T*f_i + T*f_{i-1}, summed in this order, and e = -T*f
-    T_scheme = params.Theta_scheme
-    tf = T_scheme * _join(faces)
-    d = np.ones(2 * n)
-    d[:-1] += tf
-    d[1:] += tf
-    diag, sub, info = dpttrf(d, _join([-T_scheme * f for f in faces]))
-    if info:
-        raise np.linalg.LinAlgError(f"pttrf: info = {info}")
     n_steps = int(np.ceil(T / params.dt - 1e-9))
     m = _Member(
-        index=index, params=params, mode=mode, grid=grid, n=n,
-        faces_u=faces_u, faces_v=faces_v, diag=diag, sub=sub,
-        linearization=linearization, n_steps=n_steps,
-        snapshot_steps=_snapshot_steps(T, params.dt, n_steps), U=U, V=V,
-        snapshots=[], mass_series=[],
+        index=index, params=params, mode=mode, grid=grid, n=grid.n_points,
+        faces_u=faces_u, faces_v=faces_v, linearization=linearization,
+        n_steps=n_steps, snapshot_steps=_snapshot_steps(T, params.dt, n_steps),
+        U=U, V=V, snapshots=[],
     )
     m.record(0.0, U, V)
     return m
@@ -613,10 +606,10 @@ def run(params: ModelParams, initial, T: float, mode: str = "nonlinear", *,
     """Integrate to time T, or stop earlier once max|dU, dV|/dt < steady_tol.
 
     ``initial`` is the (u0, v0) pair on the grid of ``params``; 'linearized'
-    mode linearises at the steady state of its mass.  Snapshots
-    (with the running mass) are recorded at t = 0 and at the geometric
-    times T/64, T/32, ..., T.  Blow-up raises BlowUpError with the step
-    index attached.  This is ``run_batch`` with one member.
+    mode linearises at the steady state of its mass.  Snapshots are
+    recorded at t = 0 and at the geometric times T/64, T/32, ..., T, and
+    the mass series is read from them.  Blow-up raises BlowUpError with
+    the step index attached.  This is ``run_batch`` with one member.
     """
     result, = run_batch([params], [initial], T, mode, steady_tol=steady_tol,
                         steady_stop=steady_stop)

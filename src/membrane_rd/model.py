@@ -182,7 +182,7 @@ class ModelParams:
                 stacklevel=2,
             )
         if self.dt is None:
-            object.__setattr__(self, "dt", min(1e-2, self.eps / 4.0))
+            object.__setattr__(self, "dt", self.dt_rule)
         elif self.dt <= 0:
             raise ConfigError("dt", "time step must be positive")
         elif self.dt > self.eps / 2.0:
@@ -226,6 +226,11 @@ class ModelParams:
     def coupled(self) -> bool:
         """k_u = theta*k_v to 1e-12: the species share one eigenfunction basis."""
         return abs(self.k_u - self.theta * self.k_v) <= 1e-12 * max(1.0, self.k_u)
+
+    @property
+    def dt_rule(self) -> float:
+        """The time step that an unset ``dt`` takes: min(1e-2, eps/4)."""
+        return min(1e-2, self.eps / 4.0)
 
     @property
     def nu_D(self) -> float:

@@ -522,22 +522,28 @@ def test_sweep_k_v_restores_continuity(tmp_path):
 
 
 def test_sweep_children_match_standalone_simulate(tmp_path):
-    # eps = 0.02 halves dt, so the batched children step with different dt
-    cfg = parse_config("dx = 0.05\nT = 10\n")
-    summary = cmd_sweep(cfg, "eps", [1.0, 0.5, 0.02], tmp_path / "sweep")
-    assert all("error" not in row for row in summary)
-    for child in ("eps_1", "eps_0.5", "eps_0.02"):
-        got = tmp_path / "sweep" / child
-        # the child's report echoes its fully resolved configuration
-        report = (got / "report.txt").read_text()
-        child_cfg = parse_config(report.split("# resolved configuration\n", 1)[1])
-        cmd_simulate(child_cfg, tmp_path / "alone" / child)
-        want = tmp_path / "alone" / child
-        names = sorted(f.name for f in want.iterdir())
-        assert "final.csv" in names and "snapshots.csv" in names
-        assert sorted(f.name for f in got.iterdir()) == names
-        for name in names:
-            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    # eps = 0.02 halves dt at its rule, so the batched children step with
+    # different dt; a dt the config sets is every child's dt
+    for case, base in enumerate(("dx = 0.05\nT = 10\n",
+                                 "dx = 0.05\nT = 10\ndt = 1e-3\n")):
+        cfg = parse_config(base)
+        out = tmp_path / str(case)
+        summary = cmd_sweep(cfg, "eps", [1.0, 0.5, 0.02], out / "sweep")
+        assert all("error" not in row for row in summary)
+        for child, eps in (("eps_1", "1.0"), ("eps_0.5", "0.5"), ("eps_0.02", "0.02")):
+            got = out / "sweep" / child
+            # the child's report echoes its fully resolved configuration,
+            # which is the base config with the swept key set
+            report = (got / "report.txt").read_text()
+            child_cfg = parse_config(report.split("# resolved configuration\n", 1)[1])
+            assert child_cfg == parse_config(base + f"eps = {eps}\n")
+            cmd_simulate(child_cfg, out / "alone" / child)
+            want = out / "alone" / child
+            names = sorted(f.name for f in want.iterdir())
+            assert "final.csv" in names and "snapshots.csv" in names
+            assert sorted(f.name for f in got.iterdir()) == names
+            for name in names:
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_sweep_child_files_are_its_own_simulate(tmp_path):

@@ -461,7 +461,15 @@ ACCEPTANCE_CONFIGS = [(THETA_C, 1.0), (7.8e-2, 1.0), (3e-4, 1.0), (3e-4, 0.0),
     # the middle member blows up at step 10 between two that run on
     ("nonlinear", [dict(theta=7.8e-2), dict(Theta_scheme=0.0, dt=1e-2),
                    dict(theta=3e-4)], 1.0, {}, [10, 100]),
-], ids=["acceptance", "stops", "eps_dt", "k_v", "linearized", "diffusion", "blow_up"])
+    # one Theta_scheme, k_v and dt per member, all of them running to T: the
+    # batch factor of I + T*C is each member's own
+    ("nonlinear", [dict(theta=1e-2, Theta_scheme=0.0, k_v=0.0, dt=2e-4),
+                   dict(theta=1e-2, Theta_scheme=0.5, k_v=1.0, dt=1e-3),
+                   dict(theta=3e-4, Theta_scheme=1.0, k_v=1e9),
+                   dict(theta=7.8e-2, Theta_scheme=0.75, k_v=10.0, dt=1e-3)], 0.5, {},
+     [50, 500, 2500]),
+], ids=["acceptance", "stops", "eps_dt", "k_v", "linearized", "diffusion", "blow_up",
+        "mixed_Theta"])
 def test_run_batch_is_bitwise_each_run(mode, members, T, opts, stops):
     params = [coarse_params(**kw) for kw in members]
     initials = [initial_data(p, build_grid(p)) for p in params]
