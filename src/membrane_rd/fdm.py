@@ -546,7 +546,21 @@ def _step_batch(active: list[_Member], it: int, steady_tol: float,
     left.  The kernel and its ring are freed on return, before the next
     batch builds its own.
     """
-    ring, advance = _kernel(active)
+    try:
+        ring, advance = _kernel(active)
+    except np.linalg.LinAlgError:
+        # pttrf stops at the first pivot that is not positive: factor each
+        # member alone to find the ones without a factor, which fail alone
+        left = []
+        for i, m in enumerate(active):
+            try:
+                _kernel([m])
+            except np.linalg.LinAlgError as exc:
+                results[m.index] = exc
+                left.append(i)
+        if not left:
+            raise
+        return it, left
     K = ring.shape[0] - 1
     w = ring[0]  # the state at step it
     w[:] = np.concatenate([m.U for m in active] + [m.V for m in active])

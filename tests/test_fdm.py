@@ -583,6 +583,21 @@ def test_run_batch_fails_a_bad_member_alone():
         run_batch([p, p], [good], 1.0)
 
 
+def test_run_batch_fails_a_member_without_a_factor_alone():
+    # dt*k/dx = 4e19 swamps the 1 of I + T*C, and a pivot of its LDL^T
+    # rounds to zero or below: that member fails, the other steps on
+    with pytest.warns(UserWarning, match="dt > eps/2"):
+        params = [coarse_params(D_vl=1e-9, D_vr=1e-9, k_v=k, dt=1e10)
+                  for k in (1.0, 1e8)]
+    initials = [initial_data(p, build_grid(p)) for p in params]
+    good, bad = run_batch(params, initials, 1e10, "diffusion")
+    want = run(params[0], initials[0], 1e10, "diffusion")
+    assert np.array_equal(good.u, want.u) and np.array_equal(good.v, want.v)
+    assert isinstance(bad, np.linalg.LinAlgError) and "pttrf: info" in str(bad)
+    with pytest.raises(np.linalg.LinAlgError, match=str(bad)):
+        run(params[1], initials[1], 1e10, "diffusion")
+
+
 # ---------------------------------------------------------------------- run
 
 def test_run_looks_up_assemble_and_reaction_in_its_module(monkeypatch):
