@@ -70,15 +70,19 @@ A membrane permeability at or above ``PERMEABILITY_INF`` is stepped as
 that sentinel, the transparent membrane: a larger k would swamp the 1 of
 I + T*C in rounding and lose mass without changing the physics.
 
-scipy is imported on the first factor: ``_kernel`` imports ``pttrf`` and
-``pttrs`` where they are used, once per batch, so importing this module,
-and the analysis that uses its faces and grid, loads no scipy.
+scipy is loaded on the first factor, and only what the kernel needs:
+``_lapack`` loads scipy's ``_flapack`` extension, the very module whose
+``dpttrf`` and ``dpttrs`` ``scipy.linalg.lapack`` re-exports, after scipy's
+own package init and without the init of ``scipy.linalg``.  Importing this
+module, and the analysis that uses its faces and grid, loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -221,6 +225,34 @@ _BLOCK_STEPS = 32
 _RING_BYTES = 1 << 20
 
 
+@functools.cache
+def _lapack():
+    """LAPACK ``(dpttrf, dpttrs)`` from scipy's ``_flapack`` extension.
+
+    ``scipy.linalg.lapack`` does ``from scipy.linalg._flapack import *``, so
+    these are its very routines; loading the extension file alone skips the
+    init of the whole ``scipy.linalg`` package.  It registers itself in
+    ``sys.modules``, where a later ``import scipy.linalg`` finds it.  Without
+    that file, the routines come from ``scipy.linalg.lapack``.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    import scipy  # its init sets up the libraries that the extension links
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(
+                "scipy.linalg._flapack", path)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dpttrf, flapack.dpttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    return dpttrf, dpttrs
+
+
 def _kernel(members: list[_Member]):
     """The step kernel for the stacked state [U_1 ... U_B, V_1 ... V_B].
 
@@ -236,7 +268,7 @@ def _kernel(members: list[_Member]):
     The kernel reuses the buffers made here; callers silence floating-point
     warnings once around their loop.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs  # dpttrs: a local of advance
+    dpttrf, dpttrs = _lapack()  # dpttrs: a local of advance
 
     mode = members[0].mode
     B = len(members)
@@ -266,12 +298,21 @@ def _kernel(members: list[_Member]):
     # I + T*C from the faces, each member's T on its own blocks: the diagonal
     # d_i = 1 + T*f_i + T*f_{i-1}, summed in this order, and e = -T*f
     tf = _join([T * f for T, f in zip(thetas, blocks)])
+    starts = np.cumsum([0] + sizes + sizes[:-1])  # of the blocks of w
     d = np.ones(2 * nu)
     d[:-1] += tf
     d[1:] += tf
     diag, sub, info = dpttrf(d, _join([-T * f for T, f in zip(thetas, blocks)]))
     if info:
-        raise np.linalg.LinAlgError(f"pttrf: info = {info}")
+        # the failed pivot lies in one block, and a diffusive face is bounded:
+        # the membrane face of that block's species swamps the 1 of I + T*C
+        block = int(np.searchsorted(starts, info - 1, side="right")) - 1
+        m, species = members[block % B], "uv"[block // B]
+        key = "k_u" if species == "u" and not m.params.coupled else "k_v"
+        face = (m.faces_u, m.faces_v)[block // B][m.grid.N_l]
+        raise np.linalg.LinAlgError(
+            f"{key}: the membrane face dt*k/dx of {species} is {face:.3g}, where "
+            f"I + T*C has no factor: pttrf: info = {info}")
     # the face fluxes between a +0.0 and a -0.0, so that one difference gives
     # rhs = -C w with rhs[0] = flux[0] and rhs[-1] = -flux[-1] exactly
     flux_pad = np.zeros(2 * nu + 1)
@@ -289,7 +330,6 @@ def _kernel(members: list[_Member]):
     views = [(w, w[1:], w[:-1], w[:nu], w[nu:], w_next)
              for w, w_next in zip(ring[:-1], ring[1:])]
     diffs = np.empty((K, 2 * nu))
-    starts = np.cumsum([0] + sizes + sizes[:-1])
     block_max = np.empty((K, 2 * B))
     rates = np.empty((K, B))
     dts = np.array([m.params.dt for m in members])

@@ -635,6 +635,13 @@ def test_main_exit_codes(tmp_path, capsys):
             warnings.simplefilter("error")
             assert main(["simulate", "--config", str(huge), "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error: D_vl: ")
+    # a membrane face dt*k/dx that leaves I + T*C without a factor names its key
+    swamped = tmp_path / "swamped.cfg"
+    swamped.write_text("D_vl = 1e-9\nD_vr = 1e-9\nk_v = 1e8\ndx = 0.025\n"
+                       "dt = 1e10\nT = 1e10\n")
+    with pytest.warns(UserWarning, match="dt > eps/2"):
+        assert main(["simulate", "--config", str(swamped), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: k_v: ")
 
 
 def test_commands_write_nothing_to_stdout(tmp_path, capfd):
@@ -685,7 +692,12 @@ def test_analyze_and_spectrum_load_no_scipy(tmp_path):
                      "--out", out + "/sp"]) == 0
         assert not scipy_modules(), scipy_modules()
         assert main(["simulate", "--config", {str(sim)!r}, "--out", out + "/sim"]) == 0
-        assert "scipy.linalg" in sys.modules
+        assert main(["sweep", "--config", {str(sim)!r}, "--param", "theta",
+                     "--values", "0.1,0.01", "--out", out + "/sw"]) == 0
+        # the steppers load scipy's LAPACK extension, not the scipy.linalg package
+        linalg = [m for m in sys.modules if m.startswith("scipy.linalg")]
+        assert "scipy.linalg" not in sys.modules
+        assert linalg == ["scipy.linalg._flapack"], linalg
     """)
     proc = subprocess.run([sys.executable, "-I", "-c", script],
                           capture_output=True, text=True, timeout=300)

@@ -1,4 +1,11 @@
+import importlib.machinery
+import importlib.util
+import re
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,17 +592,66 @@ def test_run_batch_fails_a_bad_member_alone():
 
 def test_run_batch_fails_a_member_without_a_factor_alone():
     # dt*k/dx = 4e19 swamps the 1 of I + T*C, and a pivot of its LDL^T
-    # rounds to zero or below: that member fails, the other steps on
-    with pytest.warns(UserWarning, match="dt > eps/2"):
-        params = [coarse_params(D_vl=1e-9, D_vr=1e-9, k_v=k, dt=1e10)
-                  for k in (1.0, 1e8)]
+    # rounds to zero or below: those members fail, the other steps on.  The
+    # failed pivot lies in u's block, and the error names k_v, whose
+    # theta*k_v gives that face, or k_u where it is set apart
+    with (pytest.warns(UserWarning, match="dt > eps/2"),
+          pytest.warns(UserWarning, match="k_u != theta")):
+        params = [coarse_params(D_vl=1e-9, D_vr=1e-9, k_v=k_v, k_u=k_u, dt=1e10)
+                  for k_v, k_u in ((1.0, None), (1e8, None), (1.0, 1e8))]
     initials = [initial_data(p, build_grid(p)) for p in params]
-    good, bad = run_batch(params, initials, 1e10, "diffusion")
+    good, *bad = run_batch(params, initials, 1e10, "diffusion")
     want = run(params[0], initials[0], 1e10, "diffusion")
     assert np.array_equal(good.u, want.u) and np.array_equal(good.v, want.v)
-    assert isinstance(bad, np.linalg.LinAlgError) and "pttrf: info" in str(bad)
-    with pytest.raises(np.linalg.LinAlgError, match=str(bad)):
-        run(params[1], initials[1], 1e10, "diffusion")
+    for exc, head in zip(bad, ("k_v: the membrane face dt*k/dx of u is 3.12e+18",
+                               "k_u: the membrane face dt*k/dx of u is 4e+19")):
+        assert isinstance(exc, np.linalg.LinAlgError) and "pttrf: info" in str(exc)
+        assert str(exc).startswith(head)
+    for p, initial, exc in zip(params[1:], initials[1:], bad):
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(exc))):
+            run(p, initial, 1e10, "diffusion")
+
+
+# ------------------------------------------------------------------- LAPACK
+
+@pytest.mark.parametrize("public_first", [False, True])
+def test_lapack_hands_out_scipy_linalg_lapacks_routines(public_first):
+    # in a fresh interpreter, whichever of the two loads the extension first
+    src = Path(fdm.__file__).resolve().parents[1]
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        from membrane_rd import fdm
+        if {public_first}:
+            from scipy.linalg import lapack
+        dpttrf, dpttrs = fdm._lapack()
+        from scipy.linalg import lapack
+        assert dpttrf is lapack.dpttrf and dpttrs is lapack.dpttrs
+    """)
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_steps_alike_without_the_extension_file(monkeypatch):
+    p = coarse_params()
+    initial = initial_data(p, build_grid(p))
+    want = run(p, initial, 1.0, steady_stop=False)
+
+    def no_file(*args):
+        raise AssertionError("the extension file was loaded")
+
+    fdm._lapack.cache_clear()
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    monkeypatch.setattr(importlib.util, "spec_from_file_location", no_file)
+    try:
+        got = run(p, initial, 1.0, steady_stop=False)
+    finally:
+        monkeypatch.undo()
+        fdm._lapack.cache_clear()
+    assert got.n_steps == want.n_steps == 100
+    for (t, U, V), (t0, U0, V0) in zip(got.snapshots, want.snapshots, strict=True):
+        assert t == t0 and np.array_equal(U, U0) and np.array_equal(V, V0)
 
 
 # ---------------------------------------------------------------------- run
